@@ -17,7 +17,7 @@ from .polarization import BodySystem, mixed_integral, mixed_volume, polarize
 from .polynomials import Polynomial, integrate
 from .polytopes import (Polytope, dilate, hull, lattice_points, minkowski_sum,
                         triangulation, volume)
-from .rationals import Q, format_rat, is_integral, parse_rat, rat
+from .rationals import Q, format_rat, is_integral
 from .spaces import (GENERAL_MODE, QUOTIENT_MODE, HorosphericalSpace,
                      IndexReport, SupportSet, completion_support,
                      hilbert_function, index_report, index_via_integral,
@@ -39,8 +39,8 @@ __all__ = [
     "hilbert_function", "hull", "index_report", "index_via_integral",
     "index_via_lift", "integrate", "is_integral", "lattice_points",
     "minkowski_sum", "mixed_integral", "mixed_volume", "moment_polytope",
-    "newton_lift", "parse_rat", "pattern_dim", "pattern_positions",
-    "polarize", "product_support", "rat", "restricted_weyl",
-    "saturation_check", "self_index_via_hilbert", "space_dims", "sumset",
-    "triangulation", "volume", "weyl_polynomial",
+    "newton_lift", "pattern_dim", "pattern_positions", "polarize",
+    "product_support", "restricted_weyl", "saturation_check",
+    "self_index_via_hilbert", "space_dims", "sumset", "triangulation",
+    "volume", "weyl_polynomial",
 ]

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 One verb per invocation; all numeric output is exact ("p/q" strings or
-integers).  Exit codes: 0 success, 2 parse error, 3 semantic validation
-failure, 4 route disagreement.  Output is byte-identical across runs and
-across --parallel settings.
+integers).  Exit codes: 0 success, 2 unreadable or unparsable input or
+unwritable output, 3 semantic validation failure, 4 route disagreement.
+Output is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -17,16 +17,14 @@ from .errors import DomainError, RouteDisagreementError, ValidationError
 from .finite_sets import FiniteSet, saturation_check
 from .gelfand_tsetlin import gt_lattice_count, gt_polytope, pattern_dim
 from .lattices import AffineLattice
-from .polarization import BodySystem, mixed_integral, mixed_volume, polarize
+from .polarization import BodySystem, mixed_integral, mixed_volume
 from .polytopes import hull, volume
 from .rationals import Q
-from .serialization import (face_from_json, group_from_json, lattice_from_json,
-                            polynomial_from_json, polynomial_to_json,
-                            polytope_from_json, polytope_to_json,
+from .serialization import (body_system_from_json, polynomial_from_json,
+                            polynomial_to_json, polytope_to_json,
                             problem_from_json, rat_to_json, vector_to_json)
-from .spaces import (QUOTIENT_MODE, HorosphericalSpace, SupportSet,
-                     completion_support, hilbert_function, index_report,
-                     index_via_integral, index_via_lift, moment_polytope,
+from .spaces import (HorosphericalSpace, SupportSet, completion_support,
+                     hilbert_function, index_report, moment_polytope,
                      newton_lift)
 from .weyl import (ChamberFace, GroupDescriptor, dim_irrep, restricted_weyl,
                    weyl_polynomial)
@@ -47,14 +45,25 @@ def _load_json(path):
 
 
 class _ParseFailure(Exception):
-    pass
+    """Input could not be read or parsed (exit 2)."""
+
+    kind = "parse"
+
+
+class _OutputFailure(_ParseFailure):
+    """The -o file could not be written (exit 2)."""
+
+    kind = "io"
 
 
 def _emit(payload, args):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _OutputFailure(f"{args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -80,7 +89,7 @@ def _face_from_args(group, args) -> ChamberFace:
 
 def cmd_index(args):
     space, supports = problem_from_json(_load_json(args.input))
-    report = index_report(space, supports, workers=args.parallel)
+    report = index_report(space, supports)
     routes = {"integral": rat_to_json(report.integral_route),
               "lift": rat_to_json(report.lift_route),
               "hilbert": None if report.hilbert_route is None
@@ -145,30 +154,19 @@ def cmd_gc(args):
     return 0
 
 
-def _body_system(obj) -> BodySystem:
-    bodies = tuple(polytope_from_json(b) for b in obj.get("bodies", []))
-    if not bodies:
-        raise DomainError("need a nonempty 'bodies' list")
-    if "lattice" in obj:
-        lattice = lattice_from_json(obj["lattice"])
-    else:
-        lattice = AffineLattice.standard(bodies[0].ambient_dim)
-    return BodySystem(bodies, lattice)
-
-
 def cmd_mixed_volume(args):
-    system = _body_system(_load_json(args.input))
-    _emit(rat_to_json(mixed_volume(system, workers=args.parallel)), args)
+    system = body_system_from_json(_load_json(args.input))
+    _emit(rat_to_json(mixed_volume(system)), args)
     return 0
 
 
 def cmd_mixed_integral(args):
     obj = _load_json(args.input)
+    system = body_system_from_json(obj)
     if "polynomial" not in obj:
         raise DomainError("mixed-integral input needs a 'polynomial' field")
     poly = polynomial_from_json(obj["polynomial"])
-    system = _body_system(obj)
-    _emit(rat_to_json(mixed_integral(poly, system, workers=args.parallel)), args)
+    _emit(rat_to_json(mixed_integral(poly, system)), args)
     return 0
 
 
@@ -254,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("input", help="JSON input file")
         p.add_argument("-o", "--output", help="write JSON here instead of stdout")
-        p.add_argument("--parallel", type=int, default=1, metavar="N",
-                       help="worker processes (results do not depend on N)")
         return p
 
     with_io(sub.add_parser("index", help="intersection index of a support system"))
@@ -263,20 +259,18 @@ def build_parser() -> argparse.ArgumentParser:
     with_io(sub.add_parser("newton", help="lifted Newton polytopes of the supports"))
     with_io(sub.add_parser("completion", help="complete each support inside its polytope"))
 
-    p = sub.add_parser("weyl", help="dimension polynomial and face restrictions")
+    p = with_io(sub.add_parser("weyl", help="dimension polynomial and face restrictions"),
+                needs_input=False)
     p.add_argument("--gl", help="comma-separated GL factor sizes, e.g. 3 or 3,2")
     p.add_argument("--torus", type=int, default=0)
     p.add_argument("--weight", help="evaluate the dimension at this weight")
     p.add_argument("--blocks", help="face blocks per factor, e.g. '1,2' or '1,2;1,1'")
-    p.add_argument("-o", "--output")
-    p.add_argument("--parallel", type=int, default=1)
 
-    p = sub.add_parser("gc", help="Gelfand-Tsetlin polytope of a dominant weight")
+    p = with_io(sub.add_parser("gc", help="Gelfand-Tsetlin polytope of a dominant weight"),
+                needs_input=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--weight", required=True, help="comma-separated, non-increasing")
     p.add_argument("--count", action="store_true", help="print the lattice-point count")
-    p.add_argument("-o", "--output")
-    p.add_argument("--parallel", type=int, default=1)
 
     with_io(sub.add_parser("mixed-volume", help="mixed volume of a body system"))
     with_io(sub.add_parser("mixed-integral", help="mixed integral of a polynomial"))
@@ -286,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the built-in property battery")
     p.add_argument("--quick", action="store_true")
-    p.add_argument("--parallel", type=int, default=1)
 
     return parser
 
@@ -311,7 +304,7 @@ def main(argv=None) -> int:
     try:
         return _DISPATCH[args.verb](args)
     except _ParseFailure as exc:
-        sys.stderr.write(json.dumps({"error": "parse", "detail": str(exc)}) + "\n")
+        sys.stderr.write(json.dumps({"error": exc.kind, "detail": str(exc)}) + "\n")
         return EXIT_PARSE
     except RouteDisagreementError as exc:
         sys.stderr.write(json.dumps({"error": "route-disagreement", "detail": str(exc)}) + "\n")

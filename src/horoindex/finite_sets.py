@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .errors import DomainError
 from .lattices import AffineLattice
 from .polytopes import Polytope, dilate, hull, lattice_points
-from .rationals import Q, is_integral
+from .rationals import Q
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,6 @@ class FiniteSet:
     @property
     def ambient_dim(self) -> int:
         return len(next(iter(self.points)))
-
-    def sorted_points(self):
-        return sorted(self.points)
 
     def hull(self) -> Polytope:
         return hull(self.points)

@@ -27,7 +27,7 @@ from functools import lru_cache
 from .errors import DomainError
 from .linalg import rank as mat_rank, solve
 from .polytopes import Polytope, hull
-from .rationals import Q, rat_ceil, rat_floor
+from .rationals import Q
 from .weyl import ChamberFace
 
 

@@ -32,10 +32,6 @@ def dot(u, v):
     return s
 
 
-def is_zero_vector(v) -> bool:
-    return all(a == 0 for a in v)
-
-
 def rref(rows):
     """Reduced row echelon form.  Returns (list of nonzero rows, pivot columns)."""
     mat = [list(r) for r in rows]

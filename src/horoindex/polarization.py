@@ -13,7 +13,6 @@ Pi-relative volume zero.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import factorial
 
@@ -95,12 +94,11 @@ def _subset_sums(bodies):
     return sums
 
 
-def polarize(functional, bodies, degree=None, workers: int = 1):
+def polarize(functional, bodies, degree=None):
     """Value of the polarization of a homogeneous functional at the bodies.
 
     `degree` defaults to len(bodies) and must match it; the functional must
     evaluate exactly on every Minkowski sum of a subset of the bodies.
-    Results are independent of `workers` (exact arithmetic, fixed ordering).
     """
     n = len(bodies)
     if n == 0:
@@ -108,20 +106,15 @@ def polarize(functional, bodies, degree=None, workers: int = 1):
     if degree is not None and degree != n:
         raise DomainError(f"functional of degree {degree} polarized at {n} bodies")
     sums = _subset_sums(bodies)
-    masks = sorted(sums)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(functional, [sums[m] for m in masks]))
-    else:
-        values = [functional(sums[m]) for m in masks]
     total = ZERO
-    for mask, value in zip(masks, values):
+    for mask in sorted(sums):
+        value = functional(sums[mask])
         size = bin(mask).count("1")
         total += (value if (n - size) % 2 == 0 else -value)
     return total / factorial(n)
 
 
-def mixed_volume(system: BodySystem, workers: int = 1):
+def mixed_volume(system: BodySystem):
     """Mixed volume of the bodies, normalized to the system's lattice.
 
     The number of bodies must equal dim(Pi).
@@ -133,10 +126,10 @@ def mixed_volume(system: BodySystem, workers: int = 1):
     if m == 0:
         return Q(1)  # volume of a point, degree-0 base case
     functional = _RelativeVolume(system.direction, m)
-    return polarize(functional, system.bodies, degree=m, workers=workers)
+    return polarize(functional, system.bodies, degree=m)
 
 
-def mixed_integral(poly: Polynomial, system: BodySystem, workers: int = 1):
+def mixed_integral(poly: Polynomial, system: BodySystem):
     """Mixed integral of a homogeneous polynomial over the bodies.
 
     The functional D -> integral of poly over D is homogeneous of degree
@@ -155,4 +148,4 @@ def mixed_integral(poly: Polynomial, system: BodySystem, workers: int = 1):
         # zero bodies: degree-0 functional, the integral over a point
         return poly(system.direction.offset)
     functional = _RelativeIntegral(poly, system.direction, m)
-    return polarize(functional, system.bodies, degree=expected, workers=workers)
+    return polarize(functional, system.bodies, degree=expected)

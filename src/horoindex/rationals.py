@@ -13,15 +13,6 @@ except ImportError:  # pragma: no cover
     from fractions import Fraction as Q
 
 
-def rat(num, den=None):
-    """Build an exact rational from ints, rationals or 'p/q' strings."""
-    if den is None:
-        if isinstance(num, str):
-            return Q(num.strip())
-        return Q(num)
-    return Q(num, den)
-
-
 ZERO = Q(0)
 ONE = Q(1)
 
@@ -43,11 +34,3 @@ def format_rat(q) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rat(s) -> "Q":
-    if isinstance(s, int):
-        return Q(s)
-    if isinstance(s, str):
-        return Q(s.strip())
-    raise ValueError(f"cannot parse rational from {s!r}")

@@ -8,12 +8,31 @@ from __future__ import annotations
 
 from .errors import DomainError
 from .lattices import AffineLattice
+from .polarization import BodySystem
 from .polynomials import Polynomial
 from .polytopes import Polytope, hull
 from .rationals import Q, format_rat
 from .spaces import (GENERAL_MODE, QUOTIENT_MODE, HorosphericalSpace,
                      SupportSet)
 from .weyl import ChamberFace, GroupDescriptor
+
+
+def _object(value, what) -> dict:
+    if not isinstance(value, dict):
+        raise DomainError(f"{what} must be a JSON object")
+    return value
+
+
+def _array(value, what) -> list:
+    if not isinstance(value, list):
+        raise DomainError(f"{what} must be a JSON array")
+    return value
+
+
+def _field(obj, key, what):
+    if key not in obj:
+        raise DomainError(f"{what} needs a {key!r} field")
+    return obj[key]
 
 
 def rat_from_json(value):
@@ -34,27 +53,27 @@ def rat_to_json(value):
 
 
 def vector_from_json(values):
-    return tuple(rat_from_json(v) for v in values)
+    return tuple(rat_from_json(v) for v in _array(values, "a vector"))
 
 
 def vector_to_json(vec):
     return [rat_to_json(v) for v in vec]
 
 
+def _int_from_json(value) -> int:
+    q = rat_from_json(value)
+    if q.denominator != 1:
+        raise DomainError(f"expected an integer, got {value!r}")
+    return int(q.numerator)
+
+
 def int_vector_from_json(values):
-    out = []
-    for v in values:
-        q = rat_from_json(v)
-        if q.denominator != 1:
-            raise DomainError(f"expected an integer, got {v!r}")
-        out.append(int(q.numerator))
-    return tuple(out)
+    return tuple(_int_from_json(v) for v in _array(values, "an integer vector"))
 
 
 def polytope_from_json(obj) -> Polytope:
-    if "vertices" not in obj:
-        raise DomainError("polytope JSON needs a 'vertices' field")
-    return hull([vector_from_json(v) for v in obj["vertices"]])
+    vertices = _field(_object(obj, "a polytope"), "vertices", "polytope JSON")
+    return hull([vector_from_json(v) for v in _array(vertices, "'vertices'")])
 
 
 def polytope_to_json(p: Polytope) -> dict:
@@ -62,8 +81,9 @@ def polytope_to_json(p: Polytope) -> dict:
 
 
 def lattice_from_json(obj) -> AffineLattice:
+    obj = _object(obj, "a lattice")
     offset = vector_from_json(obj.get("offset", []))
-    basis = tuple(int_vector_from_json(b) for b in obj.get("basis", []))
+    basis = tuple(int_vector_from_json(b) for b in _array(obj.get("basis", []), "'basis'"))
     dim = len(offset) if offset else (len(basis[0]) if basis else 0)
     if not offset:
         offset = (0,) * dim
@@ -76,18 +96,20 @@ def lattice_to_json(lat: AffineLattice) -> dict:
 
 
 def polynomial_from_json(obj) -> Polynomial:
-    terms = obj.get("terms", [])
+    terms = _array(_object(obj, "a polynomial").get("terms", []), "'terms'")
     if not terms:
         raise DomainError("polynomial JSON needs a nonempty 'terms' list")
     exps = {}
     nvars = None
     for t in terms:
-        exp = int_vector_from_json(t["exp"])
+        t = _object(t, "a polynomial term")
+        exp = int_vector_from_json(_field(t, "exp", "a polynomial term"))
         if nvars is None:
             nvars = len(exp)
         elif len(exp) != nvars:
             raise DomainError("inconsistent exponent lengths")
-        exps[exp] = exps.get(exp, Q(0)) + rat_from_json(t["coef"])
+        coef = rat_from_json(_field(t, "coef", "a polynomial term"))
+        exps[exp] = exps.get(exp, Q(0)) + coef
     return Polynomial(exps, nvars)
 
 
@@ -96,12 +118,23 @@ def polynomial_to_json(poly: Polynomial) -> dict:
                       for e, c in sorted(poly.terms.items())]}
 
 
-def finite_set_to_json(points) -> dict:
-    return {"points": [vector_to_json(p) for p in sorted(points)]}
+def body_system_from_json(obj) -> BodySystem:
+    """Parse {'bodies', 'lattice'}; the lattice defaults to the standard one."""
+    obj = _object(obj, "a body system")
+    bodies = tuple(polytope_from_json(b) for b in _array(obj.get("bodies", []), "'bodies'"))
+    if not bodies:
+        raise DomainError("need a nonempty 'bodies' list")
+    if "lattice" in obj:
+        lattice = lattice_from_json(obj["lattice"])
+    else:
+        lattice = AffineLattice.standard(bodies[0].ambient_dim)
+    return BodySystem(bodies, lattice)
 
 
 def group_from_json(obj) -> GroupDescriptor:
-    return GroupDescriptor(tuple(obj.get("gl", [])), int(obj.get("torus", 0)))
+    obj = _object(obj, "'group'")
+    return GroupDescriptor(int_vector_from_json(obj.get("gl", [])),
+                           _int_from_json(obj.get("torus", 0)))
 
 
 def group_to_json(g: GroupDescriptor) -> dict:
@@ -109,10 +142,11 @@ def group_to_json(g: GroupDescriptor) -> dict:
 
 
 def face_from_json(group: GroupDescriptor, obj) -> ChamberFace:
-    blocks = obj.get("blocks")
+    blocks = _object(obj, "'face'").get("blocks")
     if blocks is None:
         return ChamberFace.full_chamber(group)
-    return ChamberFace(group, tuple(tuple(int(s) for s in bs) for bs in blocks))
+    return ChamberFace(group, tuple(int_vector_from_json(bs)
+                                    for bs in _array(blocks, "'blocks'")))
 
 
 def face_to_json(face: ChamberFace) -> dict:
@@ -122,6 +156,7 @@ def face_to_json(face: ChamberFace) -> dict:
 def problem_from_json(obj):
     """Parse {'group', 'face', 'lambda_H', 'mode', 'supports'} into a space
     and its support sets.  Support weights are full weight coordinates."""
+    obj = _object(obj, "a problem")
     group = group_from_json(obj.get("group", {}))
     face = face_from_json(group, obj.get("face", {}))
     mode = obj.get("mode", QUOTIENT_MODE)
@@ -133,7 +168,7 @@ def problem_from_json(obj):
         lam = AffineLattice.standard(face.dim)
     space = HorosphericalSpace(face, lam, mode)
     supports = []
-    for weights in obj.get("supports", []):
+    for weights in _array(obj.get("supports", []), "'supports'"):
         supports.append(SupportSet.from_full_weights(
-            space, [vector_from_json(w) for w in weights]))
+            space, [vector_from_json(w) for w in _array(weights, "a support")]))
     return space, supports

@@ -20,8 +20,7 @@ is enforced by `index_report`.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, factorial
 
 from .errors import DomainError, RouteDisagreementError, ValidationError
@@ -170,7 +169,7 @@ def _require_count_integer(value, what: str):
     return value
 
 
-def index_via_integral(space: HorosphericalSpace, supports, workers: int = 1):
+def index_via_integral(space: HorosphericalSpace, supports):
     """n! times the mixed integral of the top Weyl component over the moment
     polytopes, n = number of supports.  Counts solutions of a generic
     invariant system, so the result is always a nonnegative integer."""
@@ -178,7 +177,7 @@ def index_via_integral(space: HorosphericalSpace, supports, workers: int = 1):
     _, phi = space.weyl_restriction
     bodies = tuple(moment_polytope(s) for s in supports)
     system = BodySystem(bodies, space.measure_lattice())
-    value = factorial(n) * mixed_integral(phi, system, workers=workers)
+    value = factorial(n) * mixed_integral(phi, system)
     return _require_count_integer(value, "mixed-integral route")
 
 
@@ -195,7 +194,7 @@ def _lift_lattice(space: HorosphericalSpace) -> AffineLattice:
     return AffineLattice((0,) * total, tuple(basis))
 
 
-def index_via_lift(space: HorosphericalSpace, supports, workers: int = 1):
+def index_via_lift(space: HorosphericalSpace, supports):
     """n! times the mixed volume of the Gelfand-Tsetlin lifts of the moment
     polytopes, in (face coords x free pattern coords)."""
     n = _check_support_count(space, supports)
@@ -205,7 +204,7 @@ def index_via_lift(space: HorosphericalSpace, supports, workers: int = 1):
         raise DomainError(f"lift direction space has rank {lattice.rank}, "
                           f"but {n} supports were given")
     system = BodySystem(lifts, lattice)
-    value = factorial(n) * mixed_volume(system, workers=workers)
+    value = factorial(n) * mixed_volume(system)
     return _require_count_integer(value, "mixed-volume-of-lifts route")
 
 
@@ -252,10 +251,10 @@ class IndexReport:
     hilbert_route: object = None  # None when not applicable
 
 
-def index_report(space: HorosphericalSpace, supports, workers: int = 1) -> IndexReport:
+def index_report(space: HorosphericalSpace, supports) -> IndexReport:
     """Compute every applicable route and insist on exact agreement."""
-    via_integral = index_via_integral(space, supports, workers=workers)
-    via_lift = index_via_lift(space, supports, workers=workers)
+    via_integral = index_via_integral(space, supports)
+    via_lift = index_via_lift(space, supports)
     if via_integral != via_lift:
         raise RouteDisagreementError(
             f"mixed integral gave {via_integral} but mixed volume of lifts gave {via_lift}")

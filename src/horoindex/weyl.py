@@ -208,10 +208,6 @@ class ChamberFace:
             i += len(sizes)
         return True
 
-    def weight_lattice(self) -> AffineLattice:
-        """The lattice of integral weights on the face, in face coordinates."""
-        return AffineLattice.standard(self.dim)
-
     def full_chamber(group: GroupDescriptor) -> "ChamberFace":
         return ChamberFace(group, tuple(tuple([1] * n) for n in group.gl_factors))
 

@@ -42,13 +42,6 @@ def test_index_bezout(tmp_path, capsys):
     assert payload["routes"]["hilbert"] is None
 
 
-def test_index_output_is_parallel_independent(tmp_path, capsys):
-    path = write(tmp_path, "problem.json", BEZOUT_PROBLEM)
-    _, out1, _ = run_cli(["index", path, "--parallel", "1"], capsys)
-    _, out2, _ = run_cli(["index", path, "--parallel", "3"], capsys)
-    assert out1 == out2
-
-
 def test_index_deterministic_across_runs(tmp_path, capsys):
     path = write(tmp_path, "problem.json", BEZOUT_PROBLEM)
     _, out1, _ = run_cli(["index", path], capsys)
@@ -174,3 +167,30 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(out_path.read_text())["index"] == "6"
+
+
+TRIANGLE = {"vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}
+
+
+@pytest.mark.parametrize("verb, obj", [
+    ("index", [1, 2]),
+    ("index", dict(BEZOUT_PROBLEM, group={"gl": ["x"]})),
+    ("index", dict(BEZOUT_PROBLEM, face={"blocks": "ab"})),
+    ("mixed-integral", {"polynomial": {"terms": [{"coef": "1"}]},
+                        "bodies": [TRIANGLE] * 3}),
+])
+def test_malformed_json_is_a_validation_error(tmp_path, capsys, verb, obj):
+    path = write(tmp_path, "input.json", obj)
+    code, out, err = run_cli([verb, path], capsys)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "validation"
+
+
+def test_unwritable_output_file(tmp_path, capsys):
+    path = write(tmp_path, "problem.json", BEZOUT_PROBLEM)
+    out_path = tmp_path / "no_such_dir" / "result.json"
+    code, out, err = run_cli(["index", path, "-o", str(out_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "io"

@@ -150,10 +150,3 @@ def test_mixed_integral_requires_homogeneous():
     tri = hull([(0, 0), (1, 0), (0, 1)])
     with pytest.raises(DomainError):
         mixed_integral(x + 1, BodySystem((tri,) * 3, STD[2]))
-
-
-def test_parallel_workers_agree():
-    rng = random.Random(79)
-    bodies = tuple(random_body(rng, 2) for _ in range(2))
-    system = BodySystem(bodies, STD[2])
-    assert mixed_volume(system, workers=1) == mixed_volume(system, workers=3)

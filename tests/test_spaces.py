@@ -5,8 +5,8 @@ import pytest
 from horoindex import (GENERAL_MODE, QUOTIENT_MODE, AffineLattice, ChamberFace,
                        DomainError, GroupDescriptor, HorosphericalSpace, Q,
                        SupportSet, completion_support, hilbert_function,
-                       index_report, index_via_integral, index_via_lift,
-                       moment_polytope, product_support, self_index_via_hilbert)
+                       index_report, index_via_integral, moment_polytope,
+                       product_support, self_index_via_hilbert)
 
 
 def gl(n, blocks=None, torus=0):
@@ -166,15 +166,6 @@ def test_index_monotone_under_inclusion():
     others = [ray_support(space, 2), ray_support(space, 2)]
     assert (index_report(space, [small] + others).index
             <= index_report(space, [big] + others).index)
-
-
-def test_parallel_workers_agree():
-    space = bezout_space()
-    supports = [ray_support(space, d) for d in (1, 2, 2)]
-    assert (index_via_integral(space, supports, workers=1)
-            == index_via_integral(space, supports, workers=2))
-    assert (index_via_lift(space, supports, workers=1)
-            == index_via_lift(space, supports, workers=2))
 
 
 def test_support_validation():
