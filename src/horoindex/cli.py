@@ -142,7 +142,7 @@ def cmd_gc(args):
     if len(weight) != args.n:
         raise DomainError(f"--weight needs {args.n} entries")
     if args.count:
-        sys.stdout.write(f"{gt_lattice_count(tuple(weight))}\n")
+        _emit(gt_lattice_count(tuple(weight)), args)
         return 0
     if pattern_dim(args.n) == 0:
         _emit({"vertices": [[]]}, args)

@@ -6,6 +6,14 @@ weight itself.  The defining inequalities interlace consecutive rows:
 
     x[r+1][c] >= x[r][c] >= x[r+1][c+1].
 
+So the GT polytope is a marked order polytope, the weight row being marked
+(Ardila-Bliem-Salazar, JCTA 2011).  Its vertices are the patterns whose
+entries each equal one of their two upper neighbours: a point is a vertex
+exactly when every block of entries linked by tight relations reaches the
+weight row (Pegel, Order 2018), and as rows are non-increasing, an entry
+strictly between its upper neighbours is linked to nothing above its row.
+So vertices copy weight entries and are integral for an integral weight.
+
 The map weight -> polytope is Minkowski-linear on the dominant cone, the
 number of integral patterns equals dim V_lambda, and the (span-relative)
 volume equals the top homogeneous component of the dimension polynomial.
@@ -25,7 +33,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
-from .linalg import rank as mat_rank, solve
 from .polytopes import Polytope, hull
 from .rationals import Q
 from .weyl import ChamberFace
@@ -85,30 +92,17 @@ def gt_inequalities(weight):
     return rows, rhs
 
 
-def vertices_of_inequality_system(rows, rhs):
-    """All vertices of {x : A x <= b} (the system must be bounded).
+def _gt_vertices(weight):
+    """Sorted vertices of GT(weight), for a dominant weight of rationals: each
+    entry of the next row is row[i] or row[i+1], so rows interlace."""
+    def patterns(row):
+        if len(row) == 1:
+            return [()]
+        return [nxt + rest
+                for nxt in set(itertools.product(*zip(row, row[1:])))
+                for rest in patterns(nxt)]
 
-    Brute-force basis enumeration: every vertex is the unique solution of
-    some full-rank subset of dim active constraints.  Exact and fine at the
-    pattern dimensions this library works in (<= 6 for GL(4)).
-    """
-    dim = len(rows[0]) if rows else 0
-    if dim == 0:
-        return [()]
-    seen = set()
-    m = len(rows)
-    for combo in itertools.combinations(range(m), dim):
-        sub = [rows[i] for i in combo]
-        if mat_rank(sub) != dim:
-            continue
-        point = solve(sub, [rhs[i] for i in combo])
-        if point is None or point in seen:
-            continue
-        if all(sum(a * x for a, x in zip(rows[i], point)) <= rhs[i] for i in range(m)):
-            seen.add(point)
-    if not seen:
-        raise DomainError("inequality system has no vertices (empty or unbounded)")
-    return sorted(seen)
+    return sorted(patterns(weight))
 
 
 @dataclass(frozen=True)
@@ -129,15 +123,17 @@ class GTPolytope:
 
 @lru_cache(maxsize=None)
 def gt_polytope(weight) -> GTPolytope:
-    """The Gelfand-Tsetlin polytope of a dominant weight (rational allowed)."""
+    """The Gelfand-Tsetlin polytope of a dominant weight (rational allowed).
+
+    Its vertices are built directly, each entry copying an upper neighbour:
+    a block of tightly linked entries is pinned only through the weight row.
+    """
     weight = _check_weight(weight)
     n = len(weight)
     if n == 1:
         # no pattern coordinates; callers detect this via pattern_dim(1) == 0
         raise DomainError("GL(1) has an empty pattern space")
-    rows, rhs = gt_inequalities(weight)
-    verts = vertices_of_inequality_system(rows, rhs)
-    return GTPolytope(hull(verts), weight)
+    return GTPolytope(hull(_gt_vertices(weight)), weight)
 
 
 def gt_lattice_count(weight) -> int:
@@ -191,9 +187,9 @@ def fiber_vertices(face: ChamberFace, face_coords):
         if pattern_dim(n) == 0:
             per_factor.append([()])
             continue
-        gt = gt_polytope(tuple(block))
         idx = free[factor]
-        per_factor.append(sorted({tuple(v[i] for i in idx) for v in gt.polytope.vertices}))
+        vs = _gt_vertices(_check_weight(block))
+        per_factor.append(sorted({tuple(v[i] for i in idx) for v in vs}))
     return [sum(combo, ()) for combo in itertools.product(*per_factor)]
 
 

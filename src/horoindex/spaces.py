@@ -259,7 +259,7 @@ def index_report(space: HorosphericalSpace, supports) -> IndexReport:
         raise RouteDisagreementError(
             f"mixed integral gave {via_integral} but mixed volume of lifts gave {via_lift}")
     via_hilbert = None
-    if (space.mode == QUOTIENT_MODE
+    if (space.mode == QUOTIENT_MODE and supports
             and all(s.weights == supports[0].weights for s in supports)):
         via_hilbert = self_index_via_hilbert(space, supports[0])
         if via_hilbert != via_integral:

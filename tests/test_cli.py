@@ -42,6 +42,15 @@ def test_index_bezout(tmp_path, capsys):
     assert payload["routes"]["hilbert"] is None
 
 
+def test_index_of_a_space_with_no_supports(tmp_path, capsys):
+    path = write(tmp_path, "problem.json", {})
+    code, out, _ = run_cli(["index", path], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["index"] == "1"
+    assert payload["routes"] == {"integral": "1", "lift": "1", "hilbert": None}
+
+
 def test_index_deterministic_across_runs(tmp_path, capsys):
     path = write(tmp_path, "problem.json", BEZOUT_PROBLEM)
     _, out1, _ = run_cli(["index", path], capsys)
@@ -88,10 +97,16 @@ def test_weyl(capsys):
     assert payload["degree"] == 2
 
 
-def test_gc_count(capsys):
+def test_gc_count(tmp_path, capsys):
     code, out, _ = run_cli(["gc", "--n", "3", "--weight", "2,1,0", "--count"], capsys)
     assert code == 0
-    assert out.strip() == "8"
+    assert out == "8\n"
+    out_path = tmp_path / "count.json"
+    code, out, _ = run_cli(["gc", "--n", "3", "--weight", "2,1,0", "--count",
+                            "-o", str(out_path)], capsys)
+    assert code == 0
+    assert out == ""
+    assert json.loads(out_path.read_text()) == 8
 
 
 def test_gc_polytope(capsys):
@@ -100,6 +115,12 @@ def test_gc_polytope(capsys):
     payload = json.loads(out)
     assert payload["vertices"] == [["1"], ["3"]]
     assert payload["volume"] == "2"
+
+
+def test_gc_gl5(capsys):
+    code, out, _ = run_cli(["gc", "--n", "5", "--weight", "2,1,1,0,0"], capsys)
+    assert code == 0
+    assert len(json.loads(out)["vertices"]) == 40
 
 
 def test_mixed_volume(tmp_path, capsys):

@@ -8,7 +8,8 @@ from horoindex import (AffineLattice, ChamberFace, DomainError,
                        gt_polytope, hull, integrate, lattice_points,
                        minkowski_sum, newton_lift, pattern_dim,
                        pattern_positions, restricted_weyl, volume)
-from horoindex.gelfand_tsetlin import gt_inequalities
+from horoindex.gelfand_tsetlin import _check_weight, _gt_vertices, gt_inequalities
+from horoindex.linalg import rank
 
 
 def random_dominant(rng, n, lo=0, hi=4):
@@ -96,6 +97,29 @@ def test_inequalities_describe_the_polytope():
         assert all(sum(a * x for a, x in zip(r, v)) <= b for r, b in zip(rows, rhs))
     assert gt.contains_pattern((2, 1, 1))
     assert not gt.contains_pattern((2, 2, 1))  # 2 >= x11 >= 2 would force x11=2
+
+
+def oracle_weights(rng, n):
+    integral = random_dominant(rng, n)
+    degenerate = random_dominant(rng, n, 0, 1)
+    rational = tuple(sorted((Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)),
+                            reverse=True))
+    return integral, degenerate, rational
+
+
+def test_constructed_vertices_are_the_vertices():
+    rng = random.Random(127)
+    for n in (2, 3, 4):
+        for _ in range(3):
+            for lam in oracle_weights(rng, n):
+                vs = _gt_vertices(_check_weight(lam))
+                rows, rhs = gt_inequalities(lam)
+                for v in vs:
+                    slack = [b - sum(a * x for a, x in zip(r, v)) for r, b in zip(rows, rhs)]
+                    assert min(slack) >= 0, (lam, v)
+                    tight = [r for r, s in zip(rows, slack) if s == 0]
+                    assert rank(tight) == pattern_dim(n), (lam, v)
+                assert hull(vs).vertices == tuple(vs), lam
 
 
 def test_free_pattern_entries():
