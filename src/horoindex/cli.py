@@ -138,6 +138,8 @@ def cmd_weyl(args):
 
 
 def cmd_gc(args):
+    if args.n < 1:
+        raise DomainError("--n must be at least 1")
     weight = _parse_int_list(args.weight)
     if len(weight) != args.n:
         raise DomainError(f"--weight needs {args.n} entries")
@@ -171,6 +173,8 @@ def cmd_mixed_integral(args):
 
 
 def cmd_hilbert(args):
+    if args.k < 0:
+        raise DomainError("--k must be nonnegative")
     space, supports = problem_from_json(_load_json(args.input))
     if not supports:
         raise DomainError("problem file has no supports")

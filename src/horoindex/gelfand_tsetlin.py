@@ -49,6 +49,8 @@ def pattern_dim(n: int) -> int:
 
 def _check_weight(weight):
     weight = tuple(Q(x) for x in weight)
+    if not weight:
+        raise DomainError("a GL(n) weight needs n >= 1 entries")
     if any(weight[i] < weight[i + 1] for i in range(len(weight) - 1)):
         raise DomainError(f"weight {weight} is not dominant (non-increasing)")
     return weight
@@ -139,6 +141,8 @@ def gt_polytope(weight) -> GTPolytope:
 def gt_lattice_count(weight) -> int:
     """Number of integral Gelfand-Tsetlin patterns = dim V_lambda."""
     weight = tuple(int(x) for x in weight)
+    if not weight:
+        raise DomainError("a GL(n) weight needs n >= 1 entries")
     if any(weight[i] < weight[i + 1] for i in range(len(weight) - 1)):
         raise DomainError(f"weight {weight} is not dominant")
 

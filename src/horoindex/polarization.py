@@ -19,7 +19,7 @@ from math import factorial
 from .errors import DomainError
 from .lattices import AffineLattice
 from .polynomials import Polynomial, integrate
-from .polytopes import Polytope, minkowski_sum, volume
+from .polytopes import minkowski_sum, volume
 from .rationals import Q, ZERO
 
 
@@ -51,36 +51,6 @@ class BodySystem:
         return self.direction.rank
 
 
-@dataclass(frozen=True)
-class _RelativeVolume:
-    """Vol_Pi: span-relative volume if the body has full dimension in Pi, else 0."""
-
-    lattice: AffineLattice
-    rank: int
-
-    def __call__(self, body: Polytope):
-        if body.dim < self.rank:
-            return ZERO
-        return volume(body, self.lattice)
-
-
-@dataclass(frozen=True)
-class _RelativeIntegral:
-    """IF_Pi: integral over the body when full-dimensional in Pi, else 0.
-
-    With rank 0 the bodies are points and the value is F at the point.
-    """
-
-    poly: Polynomial
-    lattice: AffineLattice
-    rank: int
-
-    def __call__(self, body: Polytope):
-        if body.dim < self.rank:
-            return ZERO
-        return integrate(self.poly, body, self.lattice)
-
-
 def _subset_sums(bodies):
     """Minkowski sums of all nonempty subsets, keyed by bitmask (DP over prefixes)."""
     sums = {}
@@ -94,17 +64,17 @@ def _subset_sums(bodies):
     return sums
 
 
-def polarize(functional, bodies, degree=None):
+def polarize(functional, bodies):
     """Value of the polarization of a homogeneous functional at the bodies.
 
-    `degree` defaults to len(bodies) and must match it; the functional must
-    evaluate exactly on every Minkowski sum of a subset of the bodies.
+    The functional must be homogeneous of degree len(bodies) and evaluate
+    exactly on every Minkowski sum of a subset of the bodies.  The sums are
+    formed in ambient coordinates; volume and integrate then measure each
+    one in its own span coordinates.
     """
     n = len(bodies)
     if n == 0:
         raise DomainError("polarization needs at least one body")
-    if degree is not None and degree != n:
-        raise DomainError(f"functional of degree {degree} polarized at {n} bodies")
     sums = _subset_sums(bodies)
     total = ZERO
     for mask in sorted(sums):
@@ -117,7 +87,8 @@ def polarize(functional, bodies, degree=None):
 def mixed_volume(system: BodySystem):
     """Mixed volume of the bodies, normalized to the system's lattice.
 
-    The number of bodies must equal dim(Pi).
+    The number of bodies must equal dim(Pi).  A subset sum of dimension
+    below dim(Pi) has Pi-relative volume 0.
     """
     m = system.direction_rank
     if len(system.bodies) != m:
@@ -125,17 +96,21 @@ def mixed_volume(system: BodySystem):
                           f"got {len(system.bodies)}")
     if m == 0:
         return Q(1)  # volume of a point, degree-0 base case
-    functional = _RelativeVolume(system.direction, m)
-    return polarize(functional, system.bodies, degree=m)
+    lattice = system.direction
+    return polarize(lambda body: volume(body, lattice) if body.dim >= m else ZERO,
+                    system.bodies)
 
 
 def mixed_integral(poly: Polynomial, system: BodySystem):
     """Mixed integral of a homogeneous polynomial over the bodies.
 
-    The functional D -> integral of poly over D is homogeneous of degree
-    dim(Pi) + deg(poly); the body count must match.  With poly constant 1
-    this coincides with the mixed volume.
+    The functional D -> integral of poly over D (0 when dim D < dim(Pi)) is
+    homogeneous of degree dim(Pi) + deg(poly); the body count must match.
+    With poly constant 1 this coincides with the mixed volume.
     """
+    if poly.num_vars != system.direction.ambient_dim:
+        raise DomainError(f"polynomial in {poly.num_vars} variables over bodies in "
+                          f"dimension {system.direction.ambient_dim}")
     if not poly.is_homogeneous():
         raise DomainError("mixed integral requires a homogeneous polynomial")
     m = system.direction_rank
@@ -147,5 +122,6 @@ def mixed_integral(poly: Polynomial, system: BodySystem):
     if expected == 0:
         # zero bodies: degree-0 functional, the integral over a point
         return poly(system.direction.offset)
-    functional = _RelativeIntegral(poly, system.direction, m)
-    return polarize(functional, system.bodies, degree=expected)
+    lattice = system.direction
+    return polarize(lambda body: integrate(poly, body, lattice) if body.dim >= m else ZERO,
+                    system.bodies)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import DomainError
-from .polytopes import Polytope, triangulation, _span_sublattice
-from .linalg import det, solve, vsub
+from .polytopes import Polytope, _simplices
+from .linalg import vsub
 from .rationals import Q, ZERO
 
 
@@ -202,23 +202,19 @@ def integrate(poly: Polynomial, p: Polytope, lattice) -> "Q":
     normalized so a fundamental cell of (lattice direction) ∩ span has
     volume 1.  For a 0-dimensional p this is poly evaluated at the point
     (the volume(point)=1 convention).
+
+    Each simplex's lattice normalization is taken in span coordinates (see
+    polytopes._simplices); poly is pulled back along the ambient map
+    x = v0 + E t, the columns of E being the simplex's edges.
     """
     if poly.num_vars != p.ambient_dim:
         raise DomainError("polynomial/polytope dimension mismatch")
-    k = p.dim
-    if k == 0:
+    if p.dim == 0:
         return poly(p.base)
-    sub = _span_sublattice(p, lattice)
-    cols = [tuple(m[i] for m in sub) for i in range(p.ambient_dim)]
     total = ZERO
-    for simplex in triangulation(p):
+    for simplex, jac in _simplices(p, lattice):
         v0 = simplex[0]
         edges = [vsub(v, v0) for v in simplex[1:]]
-        tcoords = [solve(cols, e) for e in edges]
-        jac = abs(det(tcoords))
-        if jac == 0:
-            continue
-        # ambient substitution x = v0 + E t, columns of E are the edges
         matrix = [tuple(e[i] for e in edges) for i in range(p.ambient_dim)]
         g = poly.compose_affine(matrix, v0)
         piece = ZERO

@@ -22,8 +22,8 @@ from math import factorial
 
 from .errors import DomainError
 from .lattices import AffineLattice
-from .linalg import (clear_denominators, det, dot, nullspace, rref, solve,
-                     vadd, vscale, vsub)
+from .linalg import (clear_denominators, det, dot, nullspace, rref, vadd,
+                     vscale, vsub)
 from .rationals import Q, ONE, ZERO, rat_ceil, rat_floor
 
 
@@ -267,48 +267,56 @@ def _span_sublattice(p: Polytope, lattice: AffineLattice):
     return sub
 
 
+def _simplices(p: Polytope, lattice: AffineLattice):
+    """Yield (simplex, jac) for each simplex of triangulation(p), where jac is
+    dim(p)! times the simplex's volume in units of the lattice cell on p's span.
+
+    Both determinants are taken in span coordinates (the entries at
+    span_pivots): span_basis is in RREF, so projecting onto the pivots is
+    injective on the span and the ratio is the lattice-normalized volume.
+    """
+    pivots = p.span_pivots
+    cell = abs(det([[m[i] for i in pivots] for m in _span_sublattice(p, lattice)]))
+    for simplex in triangulation(p):
+        v0 = simplex[0]
+        edges = [[v[i] - v0[i] for i in pivots] for v in simplex[1:]]
+        yield simplex, abs(det(edges)) / cell
+
+
 def volume(p: Polytope, lattice: AffineLattice):
     """Volume of p in its affine span, normalized so a fundamental cell of
     (lattice direction) ∩ span has volume 1.
 
-    A 0-dimensional polytope has volume 1 by convention; this is the base
+    Works in span coordinates: one determinant per simplex over the
+    determinant of the lattice cell, both at p's span pivots.  A
+    0-dimensional polytope has volume 1 by convention; this is the base
     case that makes degree-0 polarization and fiber integration come out
     right.
     """
     k = p.dim
     if k == 0:
         return Q(1)
-    sub = _span_sublattice(p, lattice)
-    cols = [tuple(m[i] for m in sub) for i in range(p.ambient_dim)]
-    total = ZERO
-    for simplex in triangulation(p):
-        rows = [solve(cols, vsub(v, simplex[0])) for v in simplex[1:]]
-        total += abs(det(rows))
-    return total / factorial(k)
+    return sum((jac for _, jac in _simplices(p, lattice)), ZERO) / factorial(k)
 
 
 def lattice_points(p: Polytope, lattice: AffineLattice):
-    """All points of the affine lattice inside p.
+    """All points of the affine lattice inside p, sorted.
 
     Every vertex of p must lie in the affine span of the lattice (all uses in
-    this library satisfy that); enumeration is by bounding box in lattice
-    coordinates plus exact membership tests.
+    this library satisfy that).  Enumeration works in lattice coordinates:
+    the candidates are the integer points of the bounding box of p's image
+    there, tested against the hull of that image, and only the hits are
+    mapped back to ambient points.
     """
-    vertex_coords = []
+    coords = []
     for v in p.vertices:
         c = lattice.coordinates(v)
         if c is None:
             raise DomainError("polytope must lie in the affine span of the lattice")
-        vertex_coords.append(c)
-    if lattice.rank == 0:
-        return [lattice.offset] if p.contains(lattice.offset) else []
+        coords.append(c)
+    q = hull(coords)
     ranges = []
     for j in range(lattice.rank):
-        vals = [c[j] for c in vertex_coords]
+        vals = [c[j] for c in coords]
         ranges.append(range(rat_ceil(min(vals)), rat_floor(max(vals)) + 1))
-    out = []
-    for combo in itertools.product(*ranges):
-        point = lattice.point_at(combo)
-        if p.contains(point):
-            out.append(point)
-    return sorted(out)
+    return sorted(lattice.point_at(c) for c in itertools.product(*ranges) if q.contains(c))

@@ -123,6 +123,14 @@ def test_gc_gl5(capsys):
     assert len(json.loads(out)["vertices"]) == 40
 
 
+@pytest.mark.parametrize("extra", [[], ["--count"]])
+def test_gc_gl0_is_rejected(capsys, extra):
+    code, out, err = run_cli(["gc", "--n", "0", "--weight", ""] + extra, capsys)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "validation"
+
+
 def test_mixed_volume(tmp_path, capsys):
     tri = {"vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}
     path = write(tmp_path, "bodies.json", {"bodies": [tri, tri]})
@@ -151,6 +159,26 @@ def test_hilbert(tmp_path, capsys):
     code, out, _ = run_cli(["hilbert", path, "--k", "2"], capsys)
     assert code == 0
     assert json.loads(out)["values"] == {"0": 1, "1": 4, "2": 10}
+
+
+def test_hilbert_negative_k_is_rejected(tmp_path, capsys):
+    problem = {"group": {"gl": [2]}, "mode": "quotient_by_commutator",
+               "supports": [[[0, 0], [1, 0], [1, 1]]]}
+    path = write(tmp_path, "problem.json", problem)
+    code, out, err = run_cli(["hilbert", path, "--k", "-1"], capsys)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "validation"
+
+
+def test_mixed_integral_variable_count_mismatch(tmp_path, capsys):
+    obj = {"polynomial": {"terms": [{"exp": [0, 0, 0, 0, 0], "coef": "1"}]},
+           "bodies": [{"vertices": [["0", "0"]]}, {"vertices": [["1", "2"]]}]}
+    path = write(tmp_path, "bodies.json", obj)
+    code, out, err = run_cli(["mixed-integral", path], capsys)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "validation"
 
 
 def test_verify_quick(capsys):

@@ -89,6 +89,13 @@ def test_non_dominant_rejected():
         gt_polytope((0, 1))
 
 
+def test_empty_weight_rejected():
+    with pytest.raises(DomainError):
+        gt_lattice_count(())
+    with pytest.raises(DomainError):
+        gt_polytope(())
+
+
 def test_inequalities_describe_the_polytope():
     lam = (3, 1, 0)
     rows, rhs = gt_inequalities(lam)

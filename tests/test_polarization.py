@@ -150,3 +150,13 @@ def test_mixed_integral_requires_homogeneous():
     tri = hull([(0, 0), (1, 0), (0, 1)])
     with pytest.raises(DomainError):
         mixed_integral(x + 1, BodySystem((tri,) * 3, STD[2]))
+
+
+def test_mixed_integral_checks_the_variable_count():
+    one5 = Polynomial.constant(1, 5)
+    points = (hull([(0, 0)]), hull([(1, 2)]))
+    with pytest.raises(DomainError):
+        mixed_integral(one5, BodySystem(points, STD[2]))
+    # zero bodies: the polynomial would be evaluated at the lattice's offset
+    with pytest.raises(DomainError):
+        mixed_integral(one5, BodySystem((), AffineLattice((1, 2), ())))
