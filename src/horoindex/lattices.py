@@ -23,6 +23,8 @@ class AffineLattice:
 
     def __post_init__(self):
         offset = tuple(Q(x) for x in self.offset)
+        if not all(is_integral(Q(x)) for b in self.basis for x in b):
+            raise DomainError("lattice basis entries must be integers")
         basis = tuple(tuple(int(x) for x in b) for b in self.basis)
         dim = self.ambient_dim if self.ambient_dim >= 0 else len(offset)
         object.__setattr__(self, "offset", offset)

@@ -1,16 +1,10 @@
 """Exact rational scalars.
 
-All arithmetic in the library is exact.  We use gmpy2.mpq when available
-(noticeably faster for the hull and polarization inner loops) and fall back
-to fractions.Fraction, which has the same arithmetic interface.
+All arithmetic in the library is exact: every scalar is a
+fractions.Fraction, named Q throughout.
 """
 
-from __future__ import annotations
-
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Q
+from fractions import Fraction as Q
 
 
 ZERO = Q(0)

@@ -10,7 +10,8 @@ Lambda(H), measure normalized to Lambda(H)).
 The index of a system of supports is computed by three independent routes:
 
 * mixed integral of the top Weyl component over the moment polytopes,
-* mixed volume of the Gelfand-Tsetlin lifts of the moment polytopes,
+* mixed volume of the Gelfand-Tsetlin lifts of the moment polytopes, taken
+  as the polarization of D -> vol(lift(D)) over the moment polytopes,
 * (on diagonals, quotient mode) the leading coefficient of the Hilbert
   function k -> sum of irreducible dimensions over the dilated polytope.
 
@@ -26,8 +27,9 @@ from math import comb, factorial
 from .errors import DomainError, RouteDisagreementError, ValidationError
 from .gelfand_tsetlin import free_pattern_entries, newton_lift
 from .lattices import AffineLattice
-from .polarization import BodySystem, mixed_integral, mixed_volume
-from .polytopes import Polytope, dilate, hull, lattice_points
+from .polarization import polarize
+from .polynomials import integrate
+from .polytopes import Polytope, dilate, hull, lattice_points, volume
 from .rationals import Q, is_integral
 from .weyl import ChamberFace, restricted_weyl, space_dims
 
@@ -48,9 +50,6 @@ class HorosphericalSpace:
             raise DomainError("Lambda(H) must be given in face coordinates")
         if any(self.lambda_h.offset[i] != 0 for i in range(self.face.dim)):
             raise DomainError("Lambda(H) is a lattice, not a coset: offset must be zero")
-        for b in self.lambda_h.basis:
-            if any(not is_integral(Q(x)) for x in b):
-                raise DomainError("Lambda(H) basis must consist of integral weights")
         if self.mode == QUOTIENT_MODE and self.lambda_h.rank != self.face.dim:
             raise DomainError("quotient mode requires Lambda(H) = the full face lattice")
 
@@ -150,17 +149,6 @@ def completion_support(support: SupportSet) -> SupportSet:
     return SupportSet(support.space, tuple(pts))
 
 
-def _check_support_count(space: HorosphericalSpace, supports) -> int:
-    n = space.num_supports
-    if len(supports) != n:
-        kind = "dim(G/P')" if space.mode == QUOTIENT_MODE else "dim(G/H)"
-        raise DomainError(f"need exactly {n} supports (= {kind}), got {len(supports)}")
-    for s in supports:
-        if s.space != space:
-            raise DomainError("support belongs to a different space")
-    return n
-
-
 def _require_count_integer(value, what: str):
     if value < 0 or not is_integral(value):
         raise ValidationError(
@@ -169,16 +157,30 @@ def _require_count_integer(value, what: str):
     return value
 
 
+def _polarized_index(space: HorosphericalSpace, supports, measure, route: str):
+    """n! times the polarization of `measure` over the moment polytopes, n the
+    space's dimension: a count of solutions, so a nonnegative integer."""
+    n = space.num_supports
+    if len(supports) != n:
+        kind = "dim(G/P')" if space.mode == QUOTIENT_MODE else "dim(G/H)"
+        raise DomainError(f"need exactly {n} supports (= {kind}), got {len(supports)}")
+    if any(s.space != space for s in supports):
+        raise DomainError("support belongs to a different space")
+    if n == 0:
+        return Q(1)  # the index on a point
+    value = factorial(n) * polarize(measure, [moment_polytope(s) for s in supports])
+    return _require_count_integer(value, route)
+
+
 def index_via_integral(space: HorosphericalSpace, supports):
-    """n! times the mixed integral of the top Weyl component over the moment
-    polytopes, n = number of supports.  Counts solutions of a generic
-    invariant system, so the result is always a nonnegative integer."""
-    n = _check_support_count(space, supports)
+    """n! times the mixed integral of the top Weyl term over the moment polytopes."""
     _, phi = space.weyl_restriction
-    bodies = tuple(moment_polytope(s) for s in supports)
-    system = BodySystem(bodies, space.measure_lattice())
-    value = factorial(n) * mixed_integral(phi, system)
-    return _require_count_integer(value, "mixed-integral route")
+    lattice = space.measure_lattice()
+
+    def measure(body):
+        return integrate(phi, body, lattice) if body.dim >= lattice.rank else 0
+
+    return _polarized_index(space, supports, measure, "mixed-integral route")
 
 
 def _lift_lattice(space: HorosphericalSpace) -> AffineLattice:
@@ -196,16 +198,20 @@ def _lift_lattice(space: HorosphericalSpace) -> AffineLattice:
 
 def index_via_lift(space: HorosphericalSpace, supports):
     """n! times the mixed volume of the Gelfand-Tsetlin lifts of the moment
-    polytopes, in (face coords x free pattern coords)."""
-    n = _check_support_count(space, supports)
-    lifts = tuple(newton_lift(space.face, moment_polytope(s)) for s in supports)
+    polytopes, in (face coords x free pattern coords).  The lift is
+    Minkowski-linear on the dominant cone, as GT(l + m) = GT(l) + GT(m), so
+    this is the polarization of D -> vol(lift(D)) over the moment polytopes,
+    and no Minkowski sum is formed in the lifted space."""
     lattice = _lift_lattice(space)
-    if lattice.rank != n:
+    if lattice.rank != space.num_supports:
         raise DomainError(f"lift direction space has rank {lattice.rank}, "
-                          f"but {n} supports were given")
-    system = BodySystem(lifts, lattice)
-    value = factorial(n) * mixed_volume(system)
-    return _require_count_integer(value, "mixed-volume-of-lifts route")
+                          f"but {space.num_supports} supports are needed")
+
+    def measure(body):
+        lift = newton_lift(space.face, body)
+        return volume(lift, lattice) if lift.dim >= lattice.rank else 0
+
+    return _polarized_index(space, supports, measure, "mixed-volume-of-lifts route")
 
 
 def hilbert_function(space: HorosphericalSpace, support: SupportSet, k: int) -> int:

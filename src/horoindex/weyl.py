@@ -243,8 +243,5 @@ def space_dims(face: ChamberFace, lambda_h: AffineLattice):
     """
     if lambda_h.ambient_dim != face.dim:
         raise DomainError("Lambda(H) must live in the face's coordinate space")
-    for b in lambda_h.basis:
-        if any(not is_integral(Q(x)) for x in b):
-            raise DomainError("Lambda(H) basis must be integral")
     deg_phi = cross_pair_count(face)
     return deg_phi + face.dim, deg_phi + lambda_h.rank

@@ -43,6 +43,12 @@ def test_dependent_basis_rejected():
         AffineLattice((0, 0), ((1, 2), (2, 4)))
 
 
+def test_non_integral_basis_rejected():
+    with pytest.raises(DomainError):
+        AffineLattice((0, 0), ((Q(3, 2), 0),))
+    assert AffineLattice((0, 0), ((Q(4, 2), 0),)).basis == ((2, 0),)
+
+
 def test_direction_sublattice_full_span():
     lat = AffineLattice.standard(2)
     sub = lat.direction_sublattice([(Q(1), Q(0)), (Q(0), Q(1))])
