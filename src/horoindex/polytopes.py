@@ -11,6 +11,11 @@ triangulated boundary facets; dimensions here are small enough that
 asymptotics are irrelevant, and determinism matters more: points are always
 processed in lexicographic order and triangulations fan out from the
 lexicographically smallest vertex.
+
+Lattice points are enumerated by slices in lattice coordinates: all span
+pivots but the last range over the bounding box, and the facet inequalities
+give the last pivot's integer interval, so no point is tested for
+membership.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .errors import DomainError
 from .lattices import AffineLattice
 from .linalg import (clear_denominators, det, dot, nullspace, rref, vadd,
                      vscale, vsub)
-from .rationals import Q, ONE, ZERO, rat_ceil, rat_floor
+from .rationals import Q, ONE, ZERO, is_integral, rat_ceil, rat_floor
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,10 +308,11 @@ def lattice_points(p: Polytope, lattice: AffineLattice):
     """All points of the affine lattice inside p, sorted.
 
     Every vertex of p must lie in the affine span of the lattice (all uses in
-    this library satisfy that).  Enumeration works in lattice coordinates:
-    the candidates are the integer points of the bounding box of p's image
-    there, tested against the hull of that image, and only the hits are
-    mapped back to ambient points.
+    this library satisfy that).  Enumeration works in lattice coordinates,
+    on the hull of the vertices' coordinates there (p itself when those are
+    its vertices, as on the standard lattice), slice by slice: see
+    `_integer_points`.  Only the points found are mapped back to ambient
+    points; no candidate is tested for membership.
     """
     coords = []
     for v in p.vertices:
@@ -314,9 +320,51 @@ def lattice_points(p: Polytope, lattice: AffineLattice):
         if c is None:
             raise DomainError("polytope must lie in the affine span of the lattice")
         coords.append(c)
-    q = hull(coords)
-    ranges = []
-    for j in range(lattice.rank):
-        vals = [c[j] for c in coords]
-        ranges.append(range(rat_ceil(min(vals)), rat_floor(max(vals)) + 1))
-    return sorted(lattice.point_at(c) for c in itertools.product(*ranges) if q.contains(c))
+    q = p if coords == list(p.vertices) else hull(coords)
+    return sorted(lattice.point_at(c) for c in _integer_points(q))
+
+
+def _integer_points(q: Polytope):
+    """Yield the integer points of q, slice by slice.
+
+    The span pivots of q but the last range over the integers of q's
+    bounding box.  With such a prefix fixed, each facet n.c <= b becomes a
+    bound a*x <= rem on the last pivot x: an upper bound when a > 0, a lower
+    one when a < 0, and for a == 0 either no bound or, when rem < 0, an
+    empty slice.  The other coordinates follow from the pivots through
+    span_basis, and a point is kept only when they are integers; they
+    always are when q is full-dimensional, as span_basis is then the
+    identity.
+    """
+    base, pivots, basis = q.base, q.span_pivots, q.span_basis
+    if not pivots:
+        if all(is_integral(x) for x in base):
+            yield tuple(int(x) for x in base)
+        return
+    boxes = [(rat_ceil(min(v[j] for v in q.vertices)),
+              rat_floor(max(v[j] for v in q.vertices))) for j in pivots]
+    # n.(x - base) <= b at the pivots, as n.x <= b + n.base
+    bounds = [(n[:-1], n[-1], b + sum(a * base[j] for a, j in zip(n, pivots)))
+              for n, b in q.facets]
+    full = len(pivots) == len(base)
+    for prefix in itertools.product(*(range(lo, hi + 1) for lo, hi in boxes[:-1])):
+        lo, hi = boxes[-1]
+        for head, a, rhs in bounds:
+            rem = rhs - sum(x * y for x, y in zip(head, prefix))
+            if a > 0:
+                hi = min(hi, rem // a)
+            elif a < 0:
+                lo = max(lo, -(-rem // a))
+            elif rem < 0:
+                hi = lo - 1
+                break
+        for x in range(lo, hi + 1):
+            pivot_values = prefix + (x,)
+            if full:
+                yield pivot_values
+                continue
+            c = [v - base[j] for v, j in zip(pivot_values, pivots)]
+            point = [base[i] + sum(cj * row[i] for cj, row in zip(c, basis))
+                     for i in range(len(base))]
+            if all(is_integral(v) for v in point):
+                yield tuple(int(v) for v in point)

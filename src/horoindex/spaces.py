@@ -207,7 +207,13 @@ def index_via_lift(space: HorosphericalSpace, supports):
         raise DomainError(f"lift direction space has rank {lattice.rank}, "
                           f"but {space.num_supports} supports are needed")
 
+    base_rank = space.measure_lattice().rank
+
     def measure(body):
+        # dim lift(D) <= dim D + the free entries, so a lower-dimensional D
+        # has a lower-dimensional lift
+        if body.dim < base_rank:
+            return 0
         lift = newton_lift(space.face, body)
         return volume(lift, lattice) if lift.dim >= lattice.rank else 0
 

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
-from horoindex import (AffineLattice, DomainError, Q, dilate, hull,
-                       lattice_points, minkowski_sum, triangulation, volume)
+from horoindex import (GENERAL_MODE, AffineLattice, ChamberFace, DomainError,
+                       GroupDescriptor, HorosphericalSpace, Polytope, Q, SupportSet,
+                       completion_support, dilate, hull, lattice_points,
+                       minkowski_sum, triangulation, volume)
 from horoindex.linalg import dot, rank, vsub
 
 STD = {n: AffineLattice.standard(n) for n in range(1, 5)}
@@ -209,6 +211,41 @@ def test_lattice_points_contains_vertices():
         p = hull(pts)
         inside = set(lattice_points(p, STD[dim]))
         assert set(pts) <= inside
+
+
+def test_lattice_points_make_no_membership_tests(monkeypatch):
+    def refuse(self, point):
+        raise AssertionError("lattice_points called Polytope.contains")
+
+    monkeypatch.setattr(Polytope, "contains", refuse)
+    simplex = hull([(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)])
+    assert len(lattice_points(simplex, STD[3])) == 20
+
+
+def test_lattice_points_slice_emptied_by_a_facet_parallel_to_the_last_axis():
+    # a triangle times a segment: the facet x + y <= 2 has last entry 0, and
+    # empties the slices (x, y) = (1, 2), (2, 1), (2, 2) of the bounding box
+    prism = hull([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 1), (2, 0, 1), (0, 2, 1)])
+    expected = [(x, y, z) for x in range(3) for y in range(3) for z in range(2)
+                if x + y <= 2]
+    assert lattice_points(prism, STD[3]) == expected
+
+
+def test_lattice_points_of_a_segment_through_a_non_lattice_midpoint():
+    seg = hull([(0, 0, 0), (2, 1, 0)])
+    assert lattice_points(seg, STD[3]) == [(0, 0, 0), (2, 1, 0)]
+
+
+def test_completion_support_on_a_coset_of_an_index_two_lattice():
+    face = ChamberFace.full_chamber(GroupDescriptor((2,), 0))
+    lam = AffineLattice((0, 0), ((1, 1), (1, -1)))  # x + y even
+    space = HorosphericalSpace(face, lam, GENERAL_MODE)
+    # the supports lie in the odd coset (1, 0) + lam
+    triangle = SupportSet(space, ((1, 0), (3, 0), (3, 2)))
+    assert completion_support(triangle).weights == ((1, 0), (2, 1), (3, 0), (3, 2))
+    # lower-dimensional in lattice coordinates: (0, 0)-(3, 1), no point between
+    segment = SupportSet(space, ((1, 0), (5, 2)))
+    assert completion_support(segment).weights == ((1, 0), (5, 2))
 
 
 def test_empty_hull_rejected():
