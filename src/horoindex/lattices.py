@@ -57,11 +57,13 @@ class AffineLattice:
         return coords is not None and all(is_integral(c) for c in coords)
 
     def point_at(self, coords):
-        pt = list(self.offset)
+        """offset + basis^T coords; integer coordinates are summed in ints."""
+        sums = [0] * self.ambient_dim
         for c, b in zip(coords, self.basis):
             for i, x in enumerate(b):
-                pt[i] += Q(c) * x
-        return tuple(pt)
+                if x:
+                    sums[i] += c * x
+        return tuple(o + s for o, s in zip(self.offset, sums))
 
     def direction_contains(self, vec) -> bool:
         """True iff vec lies in the rational span of the basis."""

@@ -1,14 +1,22 @@
-"""Exact linear algebra over the rationals and the integers.
+"""Exact linear algebra over the integers and the rationals.
 
-Vectors are tuples of rationals (or ints); matrices are lists/tuples of row
+Vectors are tuples of ints or rationals; matrices are lists/tuples of row
 vectors.  Everything here is small and dense: the polytopes in this library
 live in dimension <= 10 or so, with at most a few hundred points, so the
 plain O(n^3) algorithms are the right tool.
+
+The geometry kernel runs on Python ints.  `common_denominator` and `scaled`
+turn rational points into integer ones once; `bareiss`, `normal_vector`
+and `det` then eliminate fraction-free (Bareiss 1968: every intermediate
+entry is a minor of the input, so each division is exact), and `primitive`
+divides out a gcd.  `rref`, `solve` and `nullspace` work over the
+rationals, for rational results such as span bases and lattice
+coordinates.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from .rationals import Q, ZERO, ONE
 
@@ -99,41 +107,101 @@ def nullspace(rows):
     return basis
 
 
-def det(rows):
-    """Determinant by fraction-free-ish Gaussian elimination over Q."""
-    n = len(rows)
+def common_denominator(values):
+    """Least common multiple of the denominators of ints and rationals."""
+    return lcm(*(x.denominator for x in values))
+
+
+def scaled(vec, d):
+    """d * vec as ints, for d a multiple of every entry's denominator."""
+    return tuple(x.numerator * (d // x.denominator) for x in vec)
+
+
+def primitive(vec):
+    """An integer vector divided by the gcd of its entries (zero stays zero)."""
+    g = gcd(*vec)
+    return tuple(a // g for a in vec) if g > 1 else tuple(vec)
+
+
+def bareiss(rows):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+
+    Returns (nonzero rows, pivot columns), like `rref`, except that the
+    pivot columns hold d times the identity rather than the identity, d
+    being the last pivot: rref is these rows divided by d.  Each entry is a
+    minor of the input, so the divisions by the previous pivot are exact.
+    """
     mat = [list(r) for r in rows]
-    result = ONE
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if mat[i][c] != 0), None)
+    m = len(mat)
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(r, m) if mat[i][c]), None)
         if pivot is None:
-            return ZERO
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        top = mat[r]
+        d = top[c]
+        for i in range(m):
+            if i != r:
+                f = mat[i][c]
+                mat[i] = [(d * x - f * y) // prev for x, y in zip(mat[i], top)]
+        prev = d
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return [tuple(row) for row in mat[:r]], pivots
+
+
+def normal_vector(rows):
+    """Primitive integer generator of the kernel of an integer matrix with
+    one more column than its rank, or None when the kernel is larger."""
+    reduced, pivots = bareiss(rows)
+    ncols = len(rows[0])
+    if len(pivots) != ncols - 1:
+        return None
+    free = next(c for c in range(ncols) if c not in pivots)
+    d = reduced[-1][pivots[-1]] if reduced else 1
+    vec = [0] * ncols
+    vec[free] = d
+    for row, p in zip(reduced, pivots):
+        vec[p] = -row[free]
+    return primitive(vec)
+
+
+def det(rows):
+    """Determinant by Bareiss's fraction-free elimination.
+
+    Integer rows give an int.  Rational rows are scaled to integers by
+    their common denominator d first, and the result is divided by d^n.
+    """
+    n = len(rows)
+    d = common_denominator(x for row in rows for x in row)
+    mat = [list(scaled(row, d)) for row in rows]
+    sign, prev = 1, 1
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if mat[i][c]), None)
+        if pivot is None:
+            return 0
         if pivot != c:
             mat[c], mat[pivot] = mat[pivot], mat[c]
-            result = -result
-        result *= mat[c][c]
-        inv = ONE / mat[c][c]
+            sign = -sign
+        top = mat[c]
+        p = top[c]
         for i in range(c + 1, n):
-            if mat[i][c] != 0:
-                f = mat[i][c] * inv
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[c])]
-    return result
+            row = mat[i]
+            f = row[c]
+            mat[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+    result = sign * prev
+    return result if d == 1 else Q(result, d ** n)
 
 
 def clear_denominators(vec):
     """Scale a rational vector to a primitive integer vector (same direction)."""
-    qs = [Q(x) for x in vec]
-    lcm = 1
-    for q in qs:
-        d = q.denominator
-        lcm = lcm // gcd(lcm, int(d)) * int(d)
-    ints = [int(q.numerator) * (lcm // int(q.denominator)) for q in qs]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
-    if g > 1:
-        ints = [a // g for a in ints]
-    return tuple(ints)
+    return primitive(scaled(vec, common_denominator(vec)))
 
 
 def integer_kernel(rows):

@@ -12,6 +12,11 @@ asymptotics are irrelevant, and determinism matters more: points are always
 processed in lexicographic order and triangulations fan out from the
 lexicographically smallest vertex.
 
+Vertices, span bases, volumes and integrals are rationals; the kernel runs
+on ints.  `hull` scales its points once by their common denominator, then
+finds the span, facet planes, visibility and extreme vertices by
+fraction-free elimination, and volumes take integer determinants.
+
 Lattice points are enumerated by slices in lattice coordinates: all span
 pivots but the last range over the bounding box, and the facet inequalities
 give the last pivot's integer interval, so no point is tested for
@@ -24,12 +29,13 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from math import factorial
+from operator import mul
 
 from .errors import DomainError
 from .lattices import AffineLattice
-from .linalg import (clear_denominators, det, dot, nullspace, rref, vadd,
-                     vscale, vsub)
-from .rationals import Q, ONE, ZERO, is_integral, rat_ceil, rat_floor
+from .linalg import (bareiss, common_denominator, det, dot, normal_vector,
+                     primitive, rref, scaled, vadd, vscale, vsub)
+from .rationals import Q, ZERO, is_integral, rat_ceil, rat_floor
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +45,8 @@ class Polytope:
     span_pivots: tuple         # pivot columns of span_basis
     facets: tuple              # ((integer normal, integer offset), ...) in span coords
     boundary_simplices: tuple = field(default=(), repr=False)
-    # each entry: (vertex index tuple, normal in span coords, offset)
+    # each entry: (vertex index tuple, integer normal, integer offset) in span
+    # coords scaled by the vertices' common denominator
 
     @property
     def ambient_dim(self) -> int:
@@ -53,8 +60,13 @@ class Polytope:
     def base(self):
         return self.vertices[0]
 
+    def _check_length(self, vec):
+        if len(vec) != self.ambient_dim:
+            raise DomainError(f"expected {self.ambient_dim} coordinates, got {len(vec)}")
+
     def span_coordinates(self, point):
         """Coordinates of point in the affine span, or None if outside it."""
+        self._check_length(point)
         d = vsub(tuple(Q(x) for x in point), self.base)
         coords = tuple(d[p] for p in self.span_pivots)
         recon = [ZERO] * self.ambient_dim
@@ -72,6 +84,7 @@ class Polytope:
         return all(dot(n, coords) <= b for n, b in self.facets)
 
     def translate(self, vec) -> "Polytope":
+        self._check_length(vec)
         vec = tuple(Q(x) for x in vec)
         return hull([vadd(v, vec) for v in self.vertices])
 
@@ -98,28 +111,14 @@ def _as_points(points):
     return pts
 
 
-def _plane_through(points, interior):
-    """Oriented hyperplane through len(points)=k points of R^k; interior side is n.x < b."""
-    q0 = points[0]
-    rows = [vsub(p, q0) for p in points[1:]]
-    kernel = nullspace(rows) if rows else nullspace([tuple([ZERO] * len(q0))])
-    if len(kernel) != 1:
-        raise DomainError("degenerate facet hyperplane")
-    n = kernel[0]
-    b = dot(n, q0)
-    side = dot(n, interior)
-    if side > b:
-        n, b = tuple(-x for x in n), -b
-    elif side == b:
-        raise DomainError("interior point on facet hyperplane")
-    return n, b
-
-
 def _hull_core(coords):
-    """Incremental hull of full-dimensional coords (dim k >= 2, affine rank k).
+    """Incremental hull of full-dimensional integer coords (dim k >= 2,
+    affine rank k).
 
     Returns (extreme indices sorted, merged facets, simplicial facets), where
-    simplicial facets are (index tuple, normal, offset).
+    merged facets are (normal, offset, vertex indices) and simplicial facets
+    (index tuple, normal, offset), each normal primitive and each plane
+    n.x <= b on the hull.
     """
     k = len(coords[0])
     npts = len(coords)
@@ -130,7 +129,7 @@ def _hull_core(coords):
     for i in range(1, npts):
         d = vsub(coords[i], coords[0])
         trial = basis_rows + [d]
-        if len(rref(trial)[0]) > len(basis_rows):
+        if len(bareiss(trial)[1]) > len(basis_rows):
             basis_rows.append(d)
             simplex_idx.append(i)
             if len(simplex_idx) == k + 1:
@@ -138,20 +137,32 @@ def _hull_core(coords):
     if len(simplex_idx) != k + 1:
         raise DomainError("point set is not full-dimensional in span coordinates")
 
-    interior = tuple(sum((coords[i][j] for i in simplex_idx), ZERO) / (k + 1)
-                     for j in range(k))
+    # the simplex's vertex sum is k+1 times an interior point
+    inside = tuple(sum(coords[i][j] for i in simplex_idx) for j in range(k))
+
+    def plane(verts):
+        q0 = coords[verts[0]]
+        n = normal_vector([vsub(coords[i], q0) for i in verts[1:]])
+        if n is None:
+            raise DomainError("degenerate facet hyperplane")
+        b = sum(map(mul, n, q0))
+        side = sum(map(mul, n, inside)) - (k + 1) * b
+        if side > 0:
+            return tuple(-x for x in n), -b
+        if side == 0:
+            raise DomainError("interior point on facet hyperplane")
+        return n, b
 
     facets = {}
     for omit in simplex_idx:
         verts = tuple(sorted(i for i in simplex_idx if i != omit))
-        n, b = _plane_through([coords[i] for i in verts], interior)
-        facets[verts] = (n, b)
+        facets[verts] = plane(verts)
 
     for idx in range(npts):
         if idx in simplex_idx:
             continue
         p = coords[idx]
-        visible = [verts for verts, (n, b) in facets.items() if dot(n, p) > b]
+        visible = [verts for verts, (n, b) in facets.items() if sum(map(mul, n, p)) > b]
         if not visible:
             continue
         ridge_count = Counter()
@@ -164,24 +175,22 @@ def _hull_core(coords):
             if cnt != 1:
                 continue
             verts = tuple(sorted(ridge + (idx,)))
-            n, b = _plane_through([coords[i] for i in verts], interior)
-            facets[verts] = (n, b)
+            facets[verts] = plane(verts)
 
-    # merge coplanar simplicial facets into true facets
+    # merge coplanar simplicial facets into true facets: (n, b) is primitive
+    # because n is, so equal planes have equal keys
     merged = {}
-    for verts, (n, b) in facets.items():
-        canon = clear_denominators(tuple(n) + (b,))
-        merged.setdefault(canon, set()).update(verts)
+    for verts, plane_nb in facets.items():
+        merged.setdefault(plane_nb, set()).update(verts)
 
-    merged_facets = sorted((key[:-1], key[-1], tuple(sorted(vs)))
-                           for key, vs in merged.items())
+    merged_facets = sorted((n, b, tuple(sorted(vs))) for (n, b), vs in merged.items())
 
     # a boundary point is extreme iff its active facet normals span R^k
     extreme = []
     on_boundary = sorted({v for _, _, vs in merged_facets for v in vs})
     for v in on_boundary:
         normals = [n for n, b, vs in merged_facets if v in vs]
-        if len(rref(normals)[0]) == k:
+        if len(bareiss(normals)[1]) == k:
             extreme.append(v)
 
     simplices = sorted((verts, n, b) for verts, (n, b) in facets.items())
@@ -191,26 +200,27 @@ def _hull_core(coords):
 def hull(points) -> Polytope:
     """Convex hull with minimal vertex list and span-relative facet description."""
     pts = _as_points(points)
-    base = pts[0]
-    diffs = [vsub(p, base) for p in pts[1:]]
-    span_basis, pivots = rref(diffs)
-    k = len(span_basis)
+    scale = common_denominator(x for p in pts for x in p)
+    ints = [scaled(p, scale) for p in pts]
+    base = ints[0]
+    reduced, pivots = bareiss([vsub(p, base) for p in ints[1:]])
+    k = len(pivots)
 
     if k == 0:
-        return Polytope(vertices=(base,), span_basis=(), span_pivots=(),
+        return Polytope(vertices=(pts[0],), span_basis=(), span_pivots=(),
                         facets=(), boundary_simplices=())
 
-    coords = [tuple(vsub(p, base)[piv] for piv in pivots) for p in pts]
+    span_basis = tuple(rref(reduced)[0])  # k rows, already reduced up to scale
+    coords = [tuple(p[j] - base[j] for j in pivots) for p in ints]
 
     if k == 1:
         lo = min(range(len(pts)), key=lambda i: coords[i][0])
         hi = max(range(len(pts)), key=lambda i: coords[i][0])
         verts = tuple(sorted({pts[lo], pts[hi]}))
-        cmin, cmax = coords[lo][0], coords[hi][0]
-        nmax = clear_denominators((ONE, cmax))
-        nmin = clear_denominators((-ONE, -cmin))
+        nmax = primitive((scale, coords[hi][0]))
+        nmin = primitive((-scale, -coords[lo][0]))
         facets = tuple(sorted([((nmax[0],), nmax[1]), ((nmin[0],), nmin[1])]))
-        return Polytope(vertices=verts, span_basis=tuple(span_basis),
+        return Polytope(vertices=verts, span_basis=span_basis,
                         span_pivots=tuple(pivots), facets=facets,
                         boundary_simplices=((0,), (1,)))
 
@@ -220,10 +230,12 @@ def hull(points) -> Polytope:
         coords = [coords[i] for i in extreme]
         extreme, merged, simplices = _hull_core(coords)
 
-    facets = tuple((n, b) for n, b, _ in merged)
-    return Polytope(vertices=tuple(pts), span_basis=tuple(span_basis),
-                    span_pivots=tuple(pivots), facets=facets,
-                    boundary_simplices=tuple((verts, n, b) for verts, n, b in simplices))
+    # n.(scale c) <= b is (scale n).c <= b in span coordinates c
+    planes = sorted(primitive(tuple(scale * a for a in n) + (b,)) for n, b, _ in merged)
+    return Polytope(vertices=tuple(pts), span_basis=span_basis,
+                    span_pivots=tuple(pivots),
+                    facets=tuple((key[:-1], key[-1]) for key in planes),
+                    boundary_simplices=tuple(simplices))
 
 
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
@@ -253,10 +265,9 @@ def triangulation(p: Polytope):
     if k == 1:
         return (tuple(p.vertices),)
     apex = p.base
-    apex_coords = p.span_coordinates(apex)
     out = []
     for verts, n, b in p.boundary_simplices:
-        if dot(n, apex_coords) == b:
+        if b == 0:  # the facet passes through the apex, where span coordinates are 0
             continue
         out.append((apex,) + tuple(p.vertices[i] for i in verts))
     return tuple(out)
@@ -279,13 +290,18 @@ def _simplices(p: Polytope, lattice: AffineLattice):
     Both determinants are taken in span coordinates (the entries at
     span_pivots): span_basis is in RREF, so projecting onto the pivots is
     injective on the span and the ratio is the lattice-normalized volume.
+    Both are integer: the vertices are scaled by their common denominator
+    s, which multiplies each simplex's determinant by s^dim.
     """
     pivots = p.span_pivots
     cell = abs(det([[m[i] for i in pivots] for m in _span_sublattice(p, lattice)]))
+    scale = common_denominator(x for v in p.vertices for x in v)
+    ints = {v: scaled(v, scale) for v in p.vertices}
+    unit = cell * scale ** p.dim
     for simplex in triangulation(p):
-        v0 = simplex[0]
-        edges = [[v[i] - v0[i] for i in pivots] for v in simplex[1:]]
-        yield simplex, abs(det(edges)) / cell
+        w0 = ints[simplex[0]]
+        edges = [[ints[v][i] - w0[i] for i in pivots] for v in simplex[1:]]
+        yield simplex, Q(abs(det(edges)), unit)
 
 
 def volume(p: Polytope, lattice: AffineLattice):

@@ -1,7 +1,9 @@
 """Exact rational scalars.
 
-All arithmetic in the library is exact: every scalar is a
-fractions.Fraction, named Q throughout.
+All arithmetic in the library is exact.  Rational values (points, weights,
+volumes, integrals, polynomial coefficients) are fractions.Fraction, named
+Q throughout; the geometry kernel in `linalg` and `polytopes` scales them
+to Python ints once and computes on those.
 """
 
 from fractions import Fraction as Q

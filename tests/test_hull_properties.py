@@ -1,0 +1,218 @@
+"""Property tests: the integer hull and measure kernel against the rational
+one it replaced.
+
+The oracle below is the `Fraction` kernel: facet planes from a rational
+nullspace, an interior point that is the simplex centroid, planes merged
+through `clear_denominators`, and determinants by Gaussian elimination over
+Q.  The library scales points by their common denominator and does all of
+that on ints; both must give the same polytope, the same triangulation and
+the same volumes.
+"""
+
+from collections import Counter
+from math import factorial
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from horoindex import AffineLattice, DomainError, Q, hull, triangulation, volume
+from horoindex.linalg import clear_denominators, det, dot, nullspace, rref, vsub
+from horoindex.polytopes import _span_sublattice
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
+
+ZERO, ONE = Q(0), Q(1)
+
+# index-2 sublattices of Z^n, not axis-aligned where n >= 2
+INDEX_TWO = {
+    1: ((2,),),
+    2: ((1, 1), (1, -1)),
+    3: ((1, 1, 0), (1, -1, 0), (0, 1, 1)),
+    4: ((1, 1, 0, 0), (1, -1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)),
+}
+
+
+# -- the rational kernel ------------------------------------------------------
+
+def fraction_det(rows):
+    n = len(rows)
+    mat = [list(r) for r in rows]
+    result = ONE
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if mat[i][c] != 0), None)
+        if pivot is None:
+            return ZERO
+        if pivot != c:
+            mat[c], mat[pivot] = mat[pivot], mat[c]
+            result = -result
+        result *= mat[c][c]
+        inv = ONE / mat[c][c]
+        for i in range(c + 1, n):
+            if mat[i][c] != 0:
+                f = mat[i][c] * inv
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[c])]
+    return result
+
+
+def plane_through(points, interior):
+    q0 = points[0]
+    rows = [vsub(p, q0) for p in points[1:]]
+    kernel = nullspace(rows) if rows else nullspace([tuple([ZERO] * len(q0))])
+    if len(kernel) != 1:
+        raise DomainError("degenerate facet hyperplane")
+    n = kernel[0]
+    b = dot(n, q0)
+    side = dot(n, interior)
+    if side > b:
+        n, b = tuple(-x for x in n), -b
+    elif side == b:
+        raise DomainError("interior point on facet hyperplane")
+    return n, b
+
+
+def fraction_hull_core(coords):
+    k = len(coords[0])
+    npts = len(coords)
+    simplex_idx = [0]
+    basis_rows = []
+    for i in range(1, npts):
+        d = vsub(coords[i], coords[0])
+        trial = basis_rows + [d]
+        if len(rref(trial)[0]) > len(basis_rows):
+            basis_rows.append(d)
+            simplex_idx.append(i)
+            if len(simplex_idx) == k + 1:
+                break
+    interior = tuple(sum((coords[i][j] for i in simplex_idx), ZERO) / (k + 1)
+                     for j in range(k))
+    facets = {}
+    for omit in simplex_idx:
+        verts = tuple(sorted(i for i in simplex_idx if i != omit))
+        facets[verts] = plane_through([coords[i] for i in verts], interior)
+    for idx in range(npts):
+        if idx in simplex_idx:
+            continue
+        p = coords[idx]
+        visible = [verts for verts, (n, b) in facets.items() if dot(n, p) > b]
+        if not visible:
+            continue
+        ridge_count = Counter()
+        for verts in visible:
+            for v in verts:
+                ridge_count[tuple(x for x in verts if x != v)] += 1
+        for verts in visible:
+            del facets[verts]
+        for ridge, cnt in ridge_count.items():
+            if cnt == 1:
+                verts = tuple(sorted(ridge + (idx,)))
+                facets[verts] = plane_through([coords[i] for i in verts], interior)
+    merged = {}
+    for verts, (n, b) in facets.items():
+        merged.setdefault(clear_denominators(tuple(n) + (b,)), set()).update(verts)
+    merged_facets = sorted((key[:-1], key[-1], tuple(sorted(vs))) for key, vs in merged.items())
+    extreme = []
+    for v in sorted({v for _, _, vs in merged_facets for v in vs}):
+        if len(rref([n for n, b, vs in merged_facets if v in vs])[0]) == k:
+            extreme.append(v)
+    simplices = sorted((verts, n, b) for verts, (n, b) in facets.items())
+    return extreme, merged_facets, simplices
+
+
+def fraction_hull(points):
+    """(vertices, span_basis, span_pivots, facets, simplices) of the old hull."""
+    pts = sorted({tuple(Q(x) for x in p) for p in points})
+    base = pts[0]
+    span_basis, pivots = rref([vsub(p, base) for p in pts[1:]])
+    k = len(span_basis)
+    if k == 0:
+        return (base,), (), (), (), ((base,),)
+    coords = [tuple(vsub(p, base)[piv] for piv in pivots) for p in pts]
+    if k == 1:
+        lo = min(range(len(pts)), key=lambda i: coords[i][0])
+        hi = max(range(len(pts)), key=lambda i: coords[i][0])
+        nmax = clear_denominators((ONE, coords[hi][0]))
+        nmin = clear_denominators((-ONE, -coords[lo][0]))
+        verts = tuple(sorted({pts[lo], pts[hi]}))
+        return (verts, tuple(span_basis), tuple(pivots),
+                tuple(sorted([((nmax[0],), nmax[1]), ((nmin[0],), nmin[1])])), (verts,))
+    extreme, merged, simplices = fraction_hull_core(coords)
+    if len(extreme) < len(pts):
+        pts = [pts[i] for i in extreme]
+        coords = [coords[i] for i in extreme]
+        extreme, merged, simplices = fraction_hull_core(coords)
+    apex = pts[0]
+    fan = tuple((apex,) + tuple(pts[i] for i in verts) for verts, n, b in simplices
+                if dot(n, coords[0]) != b)
+    return (tuple(pts), tuple(span_basis), tuple(pivots),
+            tuple((n, b) for n, b, _ in merged), fan)
+
+
+def fraction_volume(p, fan, lattice):
+    pivots = p.span_pivots
+    if not pivots:
+        return ONE
+    cell = abs(fraction_det([[m[i] for i in pivots] for m in _span_sublattice(p, lattice)]))
+    total = ZERO
+    for simplex in fan:
+        v0 = simplex[0]
+        total += abs(fraction_det([[v[i] - v0[i] for i in pivots] for v in simplex[1:]])) / cell
+    return total / factorial(p.dim)
+
+
+# -- point sets ---------------------------------------------------------------
+
+@st.composite
+def point_sets(draw):
+    """Points in dimension 1-4: integral, over a common denominator above 1,
+    or integral combinations of fewer directions than the dimension."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["integral", "denominator", "lower"]))
+    coordinate = st.integers(-3, 3)
+    count = draw(st.integers(2, 10))
+    if kind == "lower":
+        m = draw(st.integers(min(1, n - 1), n - 1))
+        origin = tuple(draw(coordinate) for _ in range(n))
+        dirs = [tuple(draw(coordinate) for _ in range(n)) for _ in range(m)]
+        pts = []
+        for _ in range(count):
+            t = [draw(st.integers(-2, 2)) for _ in range(m)]
+            pts.append(tuple(o + sum(ti * d[j] for ti, d in zip(t, dirs))
+                             for j, o in enumerate(origin)))
+        return n, pts
+    denom = 1 if kind == "integral" else draw(st.sampled_from([2, 3, 6]))
+    pts = [tuple(Q(draw(coordinate), denom) for _ in range(n)) for _ in range(count)]
+    return n, pts
+
+
+# -- properties ---------------------------------------------------------------
+
+@PROPERTY
+@given(point_sets())
+def test_hull_matches_the_fraction_kernel(case):
+    n, pts = case
+    p = hull(pts)
+    vertices, span_basis, pivots, facets, fan = fraction_hull(pts)
+    assert p.vertices == vertices
+    assert p.span_basis == span_basis
+    assert p.span_pivots == pivots
+    assert p.facets == facets
+    assert set(triangulation(p)) == set(fan)
+    assert volume(p, AffineLattice.standard(n)) == fraction_volume(
+        p, fan, AffineLattice.standard(n))
+    index_two = AffineLattice((0,) * n, INDEX_TWO[n])
+    assert volume(p, index_two) == fraction_volume(p, fan, index_two)
+
+
+@PROPERTY
+@given(st.data())
+def test_bareiss_det_matches_the_fraction_det(data):
+    n = data.draw(st.integers(0, 5))
+    denom = data.draw(st.sampled_from([1, 1, 2, 6]))
+    entry = st.builds(Q, st.integers(-4, 4), st.just(denom))
+    rows = [tuple(data.draw(entry) for _ in range(n)) for _ in range(n)]
+    if n >= 2 and data.draw(st.booleans()):  # a singular matrix
+        rows[-1] = tuple(a - b for a, b in zip(rows[0], rows[1]))
+    assert det(rows) == fraction_det(rows)
+    if denom == 1:
+        assert det([tuple(int(x) for x in row) for row in rows]) == fraction_det(rows)
+

@@ -257,3 +257,27 @@ def test_dilate_zero_gives_origin():
     p = hull([(1, 1), (2, 3)])
     z = dilate(p, 0)
     assert z.vertices == ((Q(0), Q(0)),)
+
+
+@pytest.mark.parametrize("point", [(0, 0, 7), (0,)])
+def test_point_of_the_wrong_length_is_rejected(point):
+    tri = hull([(0, 0), (1, 0), (0, 1)])
+    with pytest.raises(DomainError):
+        tri.contains(point)
+    with pytest.raises(DomainError):
+        tri.span_coordinates(point)
+
+
+def test_translation_by_a_vector_of_the_wrong_length_is_rejected():
+    tri = hull([(0, 0), (1, 0), (0, 1)])
+    with pytest.raises(DomainError):
+        tri.translate((5,))
+
+
+def test_rational_hull_has_integer_facets_in_span_coordinates():
+    # the triangle (0,0), (1/2,0), (0,1/3): 2x + 3y <= 1 in unscaled coordinates
+    tri = hull([(0, 0), (Q(1, 2), 0), (0, Q(1, 3))])
+    assert tri.facets == (((-1, 0), 0), ((0, -1), 0), ((2, 3), 1))
+    assert volume(tri, STD[2]) == Q(1, 12)
+    assert tri.contains((Q(1, 4), Q(1, 6)))
+    assert not tri.contains((Q(1, 4), Q(1, 5)))
