@@ -9,6 +9,7 @@ Output is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -302,9 +303,11 @@ _DISPATCH = {
 }
 
 
+_parser = functools.cache(build_parser)  # built on first use, reused by every call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _DISPATCH[args.verb](args)
     except _ParseFailure as exc:

@@ -9,6 +9,10 @@ Empty subsets contribute nothing (a homogeneous functional of positive
 degree vanishes at a point).  All bodies must be parallel to the system's
 direction space Pi; a body (or subset sum) of dimension below dim(Pi) has
 Pi-relative volume zero.
+
+`polarize` is the library's one inclusion-exclusion loop.  It runs several
+measures in one pass and hands each the summands with a thunk for their sum,
+so a measure that knows its value (the memo in `spaces`) forms no sum.
 """
 
 from __future__ import annotations
@@ -40,48 +44,35 @@ class BodySystem:
             if body.ambient_dim != self.direction.ambient_dim:
                 raise DomainError("body/direction ambient dimension mismatch")
             for row in body.span_basis:
-                if not self.direction_contains(row):
+                if not self.direction.direction_contains(row):
                     raise DomainError("body is not parallel to the direction space")
 
-    def direction_contains(self, vec) -> bool:
-        return self.direction.direction_contains(vec)
 
-    @property
-    def direction_rank(self) -> int:
-        return self.direction.rank
+def polarize(measures, bodies):
+    """Values at the bodies of the polarizations of several measures, each
+    homogeneous of degree len(bodies), in one inclusion-exclusion pass.
 
-
-def _subset_sums(bodies):
-    """Minkowski sums of all nonempty subsets, keyed by bitmask (DP over prefixes)."""
-    sums = {}
-    for i, body in enumerate(bodies):
-        bit = 1 << i
-        sums[bit] = body
-        for mask in list(sums):
-            if mask & bit or mask == bit:
-                continue
-            sums[mask | bit] = minkowski_sum(sums[mask], body)
-    return sums
-
-
-def polarize(functional, bodies):
-    """Value of the polarization of a homogeneous functional at the bodies.
-
-    The functional must be homogeneous of degree len(bodies) and evaluate
-    exactly on every Minkowski sum of a subset of the bodies.  The sums are
-    formed in ambient coordinates; volume and integrate then measure each
-    one in its own span coordinates.
+    Each measure is called as measure(summands, total) once per nonempty
+    subset; total() returns the Minkowski sum, formed lazily in ambient
+    coordinates from a prefix table of this call, at most once per subset.
     """
     n = len(bodies)
     if n == 0:
         raise DomainError("polarization needs at least one body")
-    sums = _subset_sums(bodies)
-    total = ZERO
-    for mask in sorted(sums):
-        value = functional(sums[mask])
-        size = bin(mask).count("1")
-        total += (value if (n - size) % 2 == 0 else -value)
-    return total / factorial(n)
+    sums = {1 << i: body for i, body in enumerate(bodies)}
+
+    def total_of(mask):
+        if mask not in sums:
+            top = 1 << (mask.bit_length() - 1)
+            sums[mask] = minkowski_sum(total_of(mask ^ top), sums[top])
+        return sums[mask]
+
+    totals = [ZERO] * len(measures)
+    for mask in range(1, 1 << n):
+        summands = [body for i, body in enumerate(bodies) if mask >> i & 1]
+        for j, measure in enumerate(measures):
+            totals[j] += (-1) ** (n - len(summands)) * measure(summands, lambda: total_of(mask))
+    return tuple(total / factorial(n) for total in totals)
 
 
 def mixed_volume(system: BodySystem):
@@ -90,15 +81,18 @@ def mixed_volume(system: BodySystem):
     The number of bodies must equal dim(Pi).  A subset sum of dimension
     below dim(Pi) has Pi-relative volume 0.
     """
-    m = system.direction_rank
+    m = system.direction.rank
     if len(system.bodies) != m:
         raise DomainError(f"mixed volume of dim-{m} system needs {m} bodies, "
                           f"got {len(system.bodies)}")
     if m == 0:
         return Q(1)  # volume of a point, degree-0 base case
-    lattice = system.direction
-    return polarize(lambda body: volume(body, lattice) if body.dim >= m else ZERO,
-                    system.bodies)
+
+    def measure(summands, total):
+        body = total()
+        return volume(body, system.direction) if body.dim >= m else ZERO
+
+    return polarize([measure], system.bodies)[0]
 
 
 def mixed_integral(poly: Polynomial, system: BodySystem):
@@ -113,7 +107,7 @@ def mixed_integral(poly: Polynomial, system: BodySystem):
                           f"dimension {system.direction.ambient_dim}")
     if not poly.is_homogeneous():
         raise DomainError("mixed integral requires a homogeneous polynomial")
-    m = system.direction_rank
+    m = system.direction.rank
     p = poly.degree()
     expected = m + p
     if len(system.bodies) != expected:
@@ -122,6 +116,9 @@ def mixed_integral(poly: Polynomial, system: BodySystem):
     if expected == 0:
         # zero bodies: degree-0 functional, the integral over a point
         return poly(system.direction.offset)
-    lattice = system.direction
-    return polarize(lambda body: integrate(poly, body, lattice) if body.dim >= m else ZERO,
-                    system.bodies)
+
+    def measure(summands, total):
+        body = total()
+        return integrate(poly, body, system.direction) if body.dim >= m else ZERO
+
+    return polarize([measure], system.bodies)[0]

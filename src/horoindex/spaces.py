@@ -16,11 +16,14 @@ The index of a system of supports is computed by three independent routes:
   function k -> sum of irreducible dimensions over the dilated polytope.
 
 Exact agreement of the routes is the library's own strongest self-check and
-is enforced by `index_report`.
+is enforced by `index_report`.  The polytope routes share one polarization
+pass, and a bounded LRU memo keyed by (route, space, summand vertices) keeps
+their subset-sum measures across queries; `memo_info` reads its hits.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from math import comb, factorial
 
@@ -56,10 +59,6 @@ class HorosphericalSpace:
     @classmethod
     def quotient(cls, face: ChamberFace) -> "HorosphericalSpace":
         return cls(face, AffineLattice.standard(face.dim), QUOTIENT_MODE)
-
-    @property
-    def group(self):
-        return self.face.group
 
     @property
     def dims(self):
@@ -157,30 +156,44 @@ def _require_count_integer(value, what: str):
     return value
 
 
-def _polarized_index(space: HorosphericalSpace, supports, measure, route: str):
-    """n! times the polarization of `measure` over the moment polytopes, n the
-    space's dimension: a count of solutions, so a nonnegative integer."""
-    n = space.num_supports
-    if len(supports) != n:
-        kind = "dim(G/P')" if space.mode == QUOTIENT_MODE else "dim(G/H)"
-        raise DomainError(f"need exactly {n} supports (= {kind}), got {len(supports)}")
-    if any(s.space != space for s in supports):
-        raise DomainError("support belongs to a different space")
-    if n == 0:
-        return Q(1)  # the index on a point
-    value = factorial(n) * polarize(measure, [moment_polytope(s) for s in supports])
-    return _require_count_integer(value, route)
+_MEMO_BOUND = 1024  # entries; bounded so that memory stays flat over any run
+_memo = OrderedDict()  # (route, space, sorted summand vertex tuples) -> measure
+_memo_counts = [0, 0]  # hits, misses
 
 
-def index_via_integral(space: HorosphericalSpace, supports):
-    """n! times the mixed integral of the top Weyl term over the moment polytopes."""
+def memo_info():
+    """(hits, misses, bound, size) of the memo of subset-sum measures."""
+    return (*_memo_counts, _MEMO_BOUND, len(_memo))
+
+
+def memo_clear():
+    """Empty the memo and zero its counts."""
+    _memo.clear()
+    _memo_counts[:] = [0, 0]
+
+
+def _memoized(route: str, space: HorosphericalSpace, measure):
+    """`measure` of a subset sum as a polarize measure, looked up in the memo first."""
+    def lookup(summands, total):
+        key = (route, space, tuple(sorted(body.vertices for body in summands)))
+        if key in _memo:
+            _memo_counts[0] += 1
+            _memo.move_to_end(key)
+        else:
+            _memo_counts[1] += 1
+            _memo[key] = measure(total())
+            if len(_memo) > _MEMO_BOUND:
+                _memo.popitem(last=False)
+        return _memo[key]
+    return lookup
+
+
+def _integral_route(space: HorosphericalSpace):
+    """D -> integral of the top Weyl term over D."""
     _, phi = space.weyl_restriction
     lattice = space.measure_lattice()
-
-    def measure(body):
-        return integrate(phi, body, lattice) if body.dim >= lattice.rank else 0
-
-    return _polarized_index(space, supports, measure, "mixed-integral route")
+    return "mixed-integral route", (
+        lambda body: integrate(phi, body, lattice) if body.dim >= lattice.rank else 0)
 
 
 def _lift_lattice(space: HorosphericalSpace) -> AffineLattice:
@@ -196,17 +209,12 @@ def _lift_lattice(space: HorosphericalSpace) -> AffineLattice:
     return AffineLattice((0,) * total, tuple(basis))
 
 
-def index_via_lift(space: HorosphericalSpace, supports):
-    """n! times the mixed volume of the Gelfand-Tsetlin lifts of the moment
-    polytopes, in (face coords x free pattern coords).  The lift is
-    Minkowski-linear on the dominant cone, as GT(l + m) = GT(l) + GT(m), so
-    this is the polarization of D -> vol(lift(D)) over the moment polytopes,
-    and no Minkowski sum is formed in the lifted space."""
+def _lift_route(space: HorosphericalSpace):
+    """D -> volume of the Gelfand-Tsetlin lift of D."""
     lattice = _lift_lattice(space)
     if lattice.rank != space.num_supports:
         raise DomainError(f"lift direction space has rank {lattice.rank}, "
                           f"but {space.num_supports} supports are needed")
-
     base_rank = space.measure_lattice().rank
 
     def measure(body):
@@ -217,7 +225,40 @@ def index_via_lift(space: HorosphericalSpace, supports):
         lift = newton_lift(space.face, body)
         return volume(lift, lattice) if lift.dim >= lattice.rank else 0
 
-    return _polarized_index(space, supports, measure, "mixed-volume-of-lifts route")
+    return "mixed-volume-of-lifts route", measure
+
+
+def _polarized_indices(space: HorosphericalSpace, supports, *routes):
+    """Per route, n! times the polarization of its measure over the moment
+    polytopes, n the space's dimension: a count of solutions, so a
+    nonnegative integer.  The routes share one polarization pass."""
+    routes = [route(space) for route in routes]
+    n = space.num_supports
+    if len(supports) != n:
+        kind = "dim(G/P')" if space.mode == QUOTIENT_MODE else "dim(G/H)"
+        raise DomainError(f"need exactly {n} supports (= {kind}), got {len(supports)}")
+    if any(s.space != space for s in supports):
+        raise DomainError("support belongs to a different space")
+    if n == 0:
+        return (Q(1),) * len(routes)  # the index on a point
+    values = polarize([_memoized(name, space, measure) for name, measure in routes],
+                      [moment_polytope(s) for s in supports])
+    return tuple(_require_count_integer(factorial(n) * value, name)
+                 for (name, _), value in zip(routes, values))
+
+
+def index_via_integral(space: HorosphericalSpace, supports):
+    """n! times the mixed integral of the top Weyl term over the moment polytopes."""
+    return _polarized_indices(space, supports, _integral_route)[0]
+
+
+def index_via_lift(space: HorosphericalSpace, supports):
+    """n! times the mixed volume of the Gelfand-Tsetlin lifts of the moment
+    polytopes, in (face coords x free pattern coords).  The lift is
+    Minkowski-linear on the dominant cone, as GT(l + m) = GT(l) + GT(m), so
+    this is the polarization of D -> vol(lift(D)) over the moment polytopes,
+    and no Minkowski sum is formed in the lifted space."""
+    return _polarized_indices(space, supports, _lift_route)[0]
 
 
 def hilbert_function(space: HorosphericalSpace, support: SupportSet, k: int) -> int:
@@ -265,8 +306,7 @@ class IndexReport:
 
 def index_report(space: HorosphericalSpace, supports) -> IndexReport:
     """Compute every applicable route and insist on exact agreement."""
-    via_integral = index_via_integral(space, supports)
-    via_lift = index_via_lift(space, supports)
+    via_integral, via_lift = _polarized_indices(space, supports, _integral_route, _lift_route)
     if via_integral != via_lift:
         raise RouteDisagreementError(
             f"mixed integral gave {via_integral} but mixed volume of lifts gave {via_lift}")

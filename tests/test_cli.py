@@ -1,6 +1,9 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -243,3 +246,20 @@ def test_unwritable_output_file(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "io"
+
+
+def test_parser_survives_a_bad_flag(tmp_path, capsys):
+    """The parser is built once per process; a rejected command line leaves it
+    as a fresh process would build it."""
+    path = write(tmp_path, "problem.json", BEZOUT_PROBLEM)
+    with pytest.raises(SystemExit) as exc:
+        main(["index", "--no-such-flag", path])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run_cli(["index", path], capsys)
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    fresh = subprocess.run([sys.executable, "-m", "horoindex.cli", "index", path], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert (code, out) == (fresh.returncode, fresh.stdout)
