@@ -9,6 +9,12 @@ class DomainError(HoroindexError, ValueError):
     """Bad input: dimension mismatch, empty hull, non-dominant weight, ..."""
 
 
+def check_length(vec, n):
+    """Raise DomainError unless vec has exactly n coordinates."""
+    if len(vec) != n:
+        raise DomainError(f"expected {n} coordinates, got {len(vec)}")
+
+
 class ValidationError(HoroindexError):
     """A theorem-backed integrality or consistency check failed.
 

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
-from .errors import DomainError
-from .linalg import clear_denominators, integer_kernel, nullspace, rank, solve, vsub
-from .rationals import Q, ZERO, is_integral
+from .errors import DomainError, check_length
+from .linalg import integer_kernel, nullspace, primitive, rank, solve, vsub
+from .rationals import Q, is_integral
 
 
 @dataclass(frozen=True)
@@ -44,13 +45,17 @@ class AffineLattice:
     def rank(self) -> int:
         return len(self.basis)
 
+    def _solve(self, vec):
+        """Rational c with basis^T c = vec, or None when vec is off the span."""
+        if not self.basis:
+            return () if all(x == 0 for x in vec) else None
+        cols = [tuple(b[i] for b in self.basis) for i in range(self.ambient_dim)]
+        return solve(cols, vec)
+
     def coordinates(self, point):
         """Rational coordinates c with offset + basis^T c = point, or None."""
-        diff = vsub(tuple(Q(x) for x in point), self.offset)
-        if not self.basis:
-            return () if all(x == 0 for x in diff) else None
-        cols = [tuple(b[i] for b in self.basis) for i in range(self.ambient_dim)]
-        return solve(cols, diff)
+        check_length(point, self.ambient_dim)
+        return self._solve(vsub(point, self.offset))
 
     def contains(self, point) -> bool:
         coords = self.coordinates(point)
@@ -58,6 +63,7 @@ class AffineLattice:
 
     def point_at(self, coords):
         """offset + basis^T coords; integer coordinates are summed in ints."""
+        check_length(coords, self.rank)
         sums = [0] * self.ambient_dim
         for c, b in zip(coords, self.basis):
             for i, x in enumerate(b):
@@ -67,12 +73,8 @@ class AffineLattice:
 
     def direction_contains(self, vec) -> bool:
         """True iff vec lies in the rational span of the basis."""
-        if all(Q(x) == 0 for x in vec):
-            return True
-        if not self.basis:
-            return False
-        cols = [tuple(b[i] for b in self.basis) for i in range(self.ambient_dim)]
-        return solve(cols, tuple(Q(x) for x in vec)) is not None
+        check_length(vec, self.ambient_dim)
+        return self._solve(vec) is not None
 
     def direction_sublattice(self, span_rows):
         """Basis of {v in this lattice's direction lattice : v in span(span_rows)}.
@@ -80,26 +82,14 @@ class AffineLattice:
         Returns integer ambient vectors.  Used to normalize volumes on the
         affine span of a lower-dimensional polytope.
         """
-        if not self.basis:
+        if not self.basis or not span_rows:
             return []
-        if not span_rows:
-            return []
-        normals = nullspace(span_rows)
-        if not normals:  # span is everything
-            constraint_rows = []
-        else:
-            constraint_rows = [
-                clear_denominators(tuple(sum((Q(nv) * Q(bv) for nv, bv in zip(n, b)), ZERO)
-                                         for b in self.basis))
-                for n in normals
-            ]
-        if not constraint_rows:
-            coeff_sets = [tuple(1 if i == j else 0 for j in range(len(self.basis)))
-                          for i in range(len(self.basis))]
-        else:
-            coeff_sets = integer_kernel(constraint_rows)
+        constraint_rows = [primitive(tuple(sum(map(mul, n, b)) for b in self.basis))
+                           for n in nullspace(span_rows)]
+        if not constraint_rows:  # span is everything
+            return list(self.basis)
         out = []
-        for coeffs in coeff_sets:
+        for coeffs in integer_kernel(constraint_rows):
             vec = [0] * self.ambient_dim
             for c, b in zip(coeffs, self.basis):
                 for i, x in enumerate(b):

@@ -5,20 +5,21 @@ vectors.  Everything here is small and dense: the polytopes in this library
 live in dimension <= 10 or so, with at most a few hundred points, so the
 plain O(n^3) algorithms are the right tool.
 
-The geometry kernel runs on Python ints.  `common_denominator` and `scaled`
-turn rational points into integer ones once; `bareiss`, `normal_vector`
-and `det` then eliminate fraction-free (Bareiss 1968: every intermediate
-entry is a minor of the input, so each division is exact), and `primitive`
-divides out a gcd.  `rref`, `solve` and `nullspace` work over the
-rationals, for rational results such as span bases and lattice
-coordinates.
+Every elimination runs on Python ints.  `common_denominator` and `scaled`
+turn rational points into integer ones; `bareiss` is the one Gauss-Jordan
+elimination, fraction-free (Bareiss 1968: every intermediate entry is a
+minor of the input, so each division is exact), and `primitive` divides
+out a gcd.  `rref`, `rank`, `solve`, `nullspace` and `normal_vector` scale
+each row to ints and read their results off the `bareiss` form: rref is
+it divided by its last pivot, and the kernel basis is integer.  `det`
+keeps its own signed forward elimination.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from .rationals import Q, ZERO, ONE
+from .rationals import Q, ZERO
 
 
 def vadd(u, v):
@@ -40,73 +41,6 @@ def dot(u, v):
     return s
 
 
-def rref(rows):
-    """Reduced row echelon form.  Returns (list of nonzero rows, pivot columns)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = ONE / mat[r][c]
-        mat[r] = [inv * x for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return [tuple(row) for row in mat[:r]], pivots
-
-
-def rank(rows) -> int:
-    return len(rref(rows)[0])
-
-
-def solve(rows, rhs):
-    """Solve A x = b exactly.  Returns a solution tuple or None.
-
-    Free variables (if any) are set to zero, so the result is deterministic.
-    """
-    mat = [list(r) + [b] for r, b in zip(rows, rhs)]
-    if not mat:
-        return ()
-    ncols = len(rows[0])
-    reduced, pivots = rref(mat)
-    sol = [ZERO] * ncols
-    for row, p in zip(reduced, pivots):
-        if p == ncols:  # 0 = nonzero: inconsistent
-            return None
-        sol[p] = row[-1]
-    return tuple(sol)
-
-
-def nullspace(rows):
-    """Basis of {x : A x = 0} as a list of tuples (canonical, from rref)."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [ZERO] * ncols
-        vec[free] = ONE
-        for row, p in zip(reduced, pivots):
-            vec[p] = -row[free]
-        basis.append(tuple(vec))
-    return basis
-
-
 def common_denominator(values):
     """Least common multiple of the denominators of ints and rationals."""
     return lcm(*(x.denominator for x in values))
@@ -121,6 +55,11 @@ def primitive(vec):
     """An integer vector divided by the gcd of its entries (zero stays zero)."""
     g = gcd(*vec)
     return tuple(a // g for a in vec) if g > 1 else tuple(vec)
+
+
+def _integer_rows(rows):
+    """Each rational row times the common denominator of its entries."""
+    return [scaled(row, common_denominator(row)) for row in rows]
 
 
 def bareiss(rows):
@@ -155,20 +94,70 @@ def bareiss(rows):
     return [tuple(row) for row in mat[:r]], pivots
 
 
-def normal_vector(rows):
-    """Primitive integer generator of the kernel of an integer matrix with
-    one more column than its rank, or None when the kernel is larger."""
-    reduced, pivots = bareiss(rows)
+def rref(rows):
+    """Reduced row echelon form.  Returns (list of nonzero rows, pivot columns).
+
+    Each row is scaled to integers, which keeps the row space, and `bareiss`
+    eliminates; its rows divided by the last pivot are the (unique) RREF.
+    """
+    reduced, pivots = bareiss(_integer_rows(rows))
+    if not pivots:
+        return [], []
+    d = reduced[-1][pivots[-1]]
+    return [tuple(Q(x, d) for x in row) for row in reduced], pivots
+
+
+def rank(rows) -> int:
+    return len(bareiss(_integer_rows(rows))[1])
+
+
+def solve(rows, rhs):
+    """Solve A x = b exactly.  Returns a solution tuple or None.
+
+    Free variables (if any) are set to zero, so the result is deterministic.
+    """
+    mat = [list(r) + [b] for r, b in zip(rows, rhs)]
+    if not mat:
+        return ()
     ncols = len(rows[0])
-    if len(pivots) != ncols - 1:
-        return None
-    free = next(c for c in range(ncols) if c not in pivots)
-    d = reduced[-1][pivots[-1]] if reduced else 1
-    vec = [0] * ncols
-    vec[free] = d
+    reduced, pivots = rref(mat)
+    sol = [ZERO] * ncols
     for row, p in zip(reduced, pivots):
-        vec[p] = -row[free]
-    return primitive(vec)
+        if p == ncols:  # 0 = nonzero: inconsistent
+            return None
+        sol[p] = row[-1]
+    return tuple(sol)
+
+
+def nullspace(rows):
+    """Integer basis of {x : A x = 0}, one vector per free column.
+
+    From the `bareiss` form with last pivot d, the vector for a free column
+    has d there and minus that column's entry of each row at the row's
+    pivot: d times the canonical rref kernel vector.
+    """
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    reduced, pivots = bareiss(_integer_rows(rows))
+    d = reduced[-1][pivots[-1]] if pivots else 1
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [0] * ncols
+        vec[free] = d
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[free]
+        basis.append(tuple(vec))
+    return basis
+
+
+def normal_vector(rows):
+    """Primitive integer generator of the kernel of a matrix with one more
+    column than its rank, or None when the kernel is larger."""
+    kernel = nullspace(rows)
+    return primitive(kernel[0]) if len(kernel) == 1 else None
 
 
 def det(rows):
@@ -197,11 +186,6 @@ def det(rows):
         prev = p
     result = sign * prev
     return result if d == 1 else Q(result, d ** n)
-
-
-def clear_denominators(vec):
-    """Scale a rational vector to a primitive integer vector (same direction)."""
-    return primitive(scaled(vec, common_denominator(vec)))
 
 
 def integer_kernel(rows):

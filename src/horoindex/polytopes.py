@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from math import factorial
 from operator import mul
 
-from .errors import DomainError
+from .errors import DomainError, check_length
 from .lattices import AffineLattice
 from .linalg import (bareiss, common_denominator, det, dot, normal_vector,
                      primitive, rref, scaled, vadd, vscale, vsub)
@@ -60,13 +60,9 @@ class Polytope:
     def base(self):
         return self.vertices[0]
 
-    def _check_length(self, vec):
-        if len(vec) != self.ambient_dim:
-            raise DomainError(f"expected {self.ambient_dim} coordinates, got {len(vec)}")
-
     def span_coordinates(self, point):
         """Coordinates of point in the affine span, or None if outside it."""
-        self._check_length(point)
+        check_length(point, self.ambient_dim)
         d = vsub(tuple(Q(x) for x in point), self.base)
         coords = tuple(d[p] for p in self.span_pivots)
         recon = [ZERO] * self.ambient_dim
@@ -84,7 +80,7 @@ class Polytope:
         return all(dot(n, coords) <= b for n, b in self.facets)
 
     def translate(self, vec) -> "Polytope":
-        self._check_length(vec)
+        check_length(vec, self.ambient_dim)
         vec = tuple(Q(x) for x in vec)
         return hull([vadd(v, vec) for v in self.vertices])
 
@@ -203,14 +199,14 @@ def hull(points) -> Polytope:
     scale = common_denominator(x for p in pts for x in p)
     ints = [scaled(p, scale) for p in pts]
     base = ints[0]
-    reduced, pivots = bareiss([vsub(p, base) for p in ints[1:]])
+    span_basis, pivots = rref([vsub(p, base) for p in ints[1:]])
     k = len(pivots)
 
     if k == 0:
         return Polytope(vertices=(pts[0],), span_basis=(), span_pivots=(),
                         facets=(), boundary_simplices=())
 
-    span_basis = tuple(rref(reduced)[0])  # k rows, already reduced up to scale
+    span_basis = tuple(span_basis)
     coords = [tuple(p[j] - base[j] for j in pivots) for p in ints]
 
     if k == 1:
@@ -274,12 +270,11 @@ def triangulation(p: Polytope):
 
 
 def _span_sublattice(p: Polytope, lattice: AffineLattice):
-    for row in p.span_basis:
-        if not lattice.direction_contains(row):
-            raise DomainError("polytope span not contained in the lattice's direction space")
+    # the rank drops exactly when the span leaves the lattice's direction space
     sub = lattice.direction_sublattice(list(p.span_basis))
     if len(sub) != p.dim:
-        raise DomainError("lattice does not have full rank on the polytope's span")
+        raise DomainError("polytope span not contained in the lattice's direction space, "
+                          "so the lattice does not have full rank on it")
     return sub
 
 

@@ -108,8 +108,7 @@ class SupportSet:
             base = pts[0]
             for w in pts[1:]:
                 diff = tuple(a - b for a, b in zip(w, base))
-                if not self.space.lambda_h.contains(
-                        tuple(x + o for x, o in zip(diff, self.space.lambda_h.offset))):
+                if not self.space.lambda_h.contains(diff):
                     raise DomainError(
                         f"support weights must lie in one coset of Lambda(H); "
                         f"{w} - {base} is not in the lattice")

@@ -28,6 +28,12 @@ def test_points_must_lie_in_lattice():
         FiniteSet(frozenset([(1,)]), even)
 
 
+@pytest.mark.parametrize("point, n", [((1, 2), 3), ((1, 2, 3), 2)])
+def test_points_of_the_wrong_dimension_are_rejected(point, n):
+    with pytest.raises(DomainError):
+        FiniteSet(frozenset([point]), AffineLattice.standard(n))
+
+
 def test_sumset_small():
     a = fs((0,), (1,))
     b = fs((0,), (2,))

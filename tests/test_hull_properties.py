@@ -15,13 +15,12 @@ from math import factorial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraction_kernel import ONE, ZERO, clear_denominators, fraction_det, nullspace, rref
 from horoindex import AffineLattice, DomainError, Q, hull, triangulation, volume
-from horoindex.linalg import clear_denominators, det, dot, nullspace, rref, vsub
+from horoindex.linalg import det, dot, vsub
 from horoindex.polytopes import _span_sublattice
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
-
-ZERO, ONE = Q(0), Q(1)
 
 # index-2 sublattices of Z^n, not axis-aligned where n >= 2
 INDEX_TWO = {
@@ -32,27 +31,7 @@ INDEX_TWO = {
 }
 
 
-# -- the rational kernel ------------------------------------------------------
-
-def fraction_det(rows):
-    n = len(rows)
-    mat = [list(r) for r in rows]
-    result = ONE
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if mat[i][c] != 0), None)
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            result = -result
-        result *= mat[c][c]
-        inv = ONE / mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c] != 0:
-                f = mat[i][c] * inv
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[c])]
-    return result
-
+# -- the rational kernel, on `fraction_kernel` ---------------------------------
 
 def plane_through(points, interior):
     q0 = points[0]

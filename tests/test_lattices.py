@@ -69,3 +69,11 @@ def test_direction_sublattice_of_sublattice():
     sub = lat.direction_sublattice([(Q(1), Q(1))])
     assert len(sub) == 1
     assert tuple(abs(x) for x in sub[0]) == (2, 2)
+
+
+@pytest.mark.parametrize("point", [(1, 2, 3), (1,)])
+def test_point_of_the_wrong_length_is_rejected(point):
+    lat = AffineLattice.standard(2)
+    for method in (lat.contains, lat.coordinates, lat.direction_contains, lat.point_at):
+        with pytest.raises(DomainError):
+            method(point)

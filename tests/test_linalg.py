@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from horoindex.linalg import (clear_denominators, det, dot, integer_kernel,
-                              nullspace, rank, rref, solve)
+from horoindex.linalg import det, dot, integer_kernel, nullspace, rank, rref, solve
 from horoindex.rationals import Q
 
 
@@ -60,14 +59,6 @@ def test_det_alternating():
     rows = [(Q(1), Q(2), Q(0)), (Q(0), Q(1), Q(1)), (Q(3), Q(0), Q(2))]
     swapped = [rows[1], rows[0], rows[2]]
     assert det(swapped) == -det(rows)
-
-
-def test_clear_denominators_primitive():
-    v = clear_denominators((Q(1, 2), Q(1, 3), Q(0)))
-    assert v == (3, 2, 0)
-    # sign of the first nonzero entry is preserved
-    v = clear_denominators((Q(-1, 2), Q(1, 4)))
-    assert v == (-2, 1)
 
 
 def test_integer_kernel_is_integral_and_spans():

@@ -4,9 +4,9 @@ import random
 import pytest
 
 from horoindex import (GENERAL_MODE, AffineLattice, ChamberFace, DomainError,
-                       GroupDescriptor, HorosphericalSpace, Polytope, Q, SupportSet,
-                       completion_support, dilate, hull, lattice_points,
-                       minkowski_sum, triangulation, volume)
+                       GroupDescriptor, HorosphericalSpace, Polynomial, Polytope, Q,
+                       SupportSet, completion_support, dilate, hull, integrate,
+                       lattice_points, minkowski_sum, triangulation, volume)
 from horoindex.linalg import dot, rank, vsub
 
 STD = {n: AffineLattice.standard(n) for n in range(1, 5)}
@@ -182,6 +182,16 @@ def test_lower_dimensional_volume_normalization():
     tri = hull([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert tri.dim == 2
     assert volume(tri, STD[3]) == Q(1, 2)
+
+
+def test_span_outside_the_lattice_direction_space_is_rejected():
+    # the diagonal segment leaves the line spanned by (1, 0)
+    seg = hull([(0, 0), (1, 1)])
+    axis = AffineLattice((0, 0), ((1, 0),))
+    with pytest.raises(DomainError):
+        volume(seg, axis)
+    with pytest.raises(DomainError):
+        integrate(Polynomial.constant(1, 2), seg, axis)
 
 
 def test_lattice_points_square():
