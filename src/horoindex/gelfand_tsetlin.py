@@ -34,7 +34,7 @@ from functools import lru_cache
 
 from .errors import DomainError
 from .polytopes import Polytope, hull
-from .rationals import Q
+from .rationals import Q, format_point
 from .weyl import ChamberFace
 
 
@@ -52,7 +52,7 @@ def _check_weight(weight):
     if not weight:
         raise DomainError("a GL(n) weight needs n >= 1 entries")
     if any(weight[i] < weight[i + 1] for i in range(len(weight) - 1)):
-        raise DomainError(f"weight {weight} is not dominant (non-increasing)")
+        raise DomainError(f"weight {format_point(weight)} is not dominant (non-increasing)")
     return weight
 
 
@@ -144,7 +144,7 @@ def gt_lattice_count(weight) -> int:
     if not weight:
         raise DomainError("a GL(n) weight needs n >= 1 entries")
     if any(weight[i] < weight[i + 1] for i in range(len(weight) - 1)):
-        raise DomainError(f"weight {weight} is not dominant")
+        raise DomainError(f"weight {format_point(weight)} is not dominant")
 
     def count(row):
         if len(row) == 1:
@@ -210,7 +210,7 @@ def newton_lift(face: ChamberFace, base: Polytope) -> Polytope:
     points = []
     for v in base.vertices:
         if not face.face_contains_coords(v):
-            raise DomainError(f"base vertex {v} is not inside the face")
+            raise DomainError(f"base vertex {format_point(v)} is not inside the face")
         for w in fiber_vertices(face, v):
             points.append(tuple(v) + tuple(w))
     return hull(points)

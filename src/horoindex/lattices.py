@@ -62,14 +62,17 @@ class AffineLattice:
         return coords is not None and all(is_integral(c) for c in coords)
 
     def point_at(self, coords):
-        """offset + basis^T coords; integer coordinates are summed in ints."""
+        """offset + basis^T coords, an int tuple when the offset and the
+        coordinates are integral."""
         check_length(coords, self.rank)
-        sums = [0] * self.ambient_dim
+        sums = list(self.offset)
+        if all(is_integral(o) for o in sums):
+            sums = [o.numerator for o in sums]
         for c, b in zip(coords, self.basis):
             for i, x in enumerate(b):
                 if x:
                     sums[i] += c * x
-        return tuple(o + s for o, s in zip(self.offset, sums))
+        return tuple(sums)
 
     def direction_contains(self, vec) -> bool:
         """True iff vec lies in the rational span of the basis."""

@@ -9,10 +9,11 @@ Every elimination runs on Python ints.  `common_denominator` and `scaled`
 turn rational points into integer ones; `bareiss` is the one Gauss-Jordan
 elimination, fraction-free (Bareiss 1968: every intermediate entry is a
 minor of the input, so each division is exact), and `primitive` divides
-out a gcd.  `rref`, `rank`, `solve`, `nullspace` and `normal_vector` scale
-each row to ints and read their results off the `bareiss` form: rref is
-it divided by its last pivot, and the kernel basis is integer.  `det`
-keeps its own signed forward elimination.
+out a gcd.  `rref`, `rank`, `solve` and `nullspace` scale each row to ints
+and read their results off the `bareiss` form: rref is it divided by its
+last pivot, and the kernel basis is integer.  `normal_vector`, which the
+hull calls once per facet plane, takes integer rows and eliminates them
+as they are.  `det` keeps its own signed forward elimination.
 """
 
 from __future__ import annotations
@@ -140,24 +141,30 @@ def nullspace(rows):
         return []
     ncols = len(rows[0])
     reduced, pivots = bareiss(_integer_rows(rows))
+    return [_kernel_vector(reduced, pivots, free, ncols)
+            for free in range(ncols) if free not in pivots]
+
+
+def _kernel_vector(reduced, pivots, free, ncols):
     d = reduced[-1][pivots[-1]] if pivots else 1
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = [0] * ncols
-        vec[free] = d
-        for row, p in zip(reduced, pivots):
-            vec[p] = -row[free]
-        basis.append(tuple(vec))
-    return basis
+    vec = [0] * ncols
+    vec[free] = d
+    for row, p in zip(reduced, pivots):
+        vec[p] = -row[free]
+    return tuple(vec)
 
 
 def normal_vector(rows):
-    """Primitive integer generator of the kernel of a matrix with one more
-    column than its rank, or None when the kernel is larger."""
-    kernel = nullspace(rows)
-    return primitive(kernel[0]) if len(kernel) == 1 else None
+    """Primitive integer generator of the kernel of an integer matrix with
+    one more column than its rank, or None when the kernel is larger."""
+    if not rows:
+        return None
+    ncols = len(rows[0])
+    reduced, pivots = bareiss(rows)
+    if len(pivots) != ncols - 1:
+        return None
+    free = next(c for c in range(ncols) if c not in pivots)
+    return primitive(_kernel_vector(reduced, pivots, free, ncols))
 
 
 def det(rows):

@@ -96,7 +96,7 @@ def mixed_volume(system: BodySystem):
 
 
 def mixed_integral(poly: Polynomial, system: BodySystem):
-    """Mixed integral of a homogeneous polynomial over the bodies.
+    """Mixed integral of a nonzero homogeneous polynomial over the bodies.
 
     The functional D -> integral of poly over D (0 when dim D < dim(Pi)) is
     homogeneous of degree dim(Pi) + deg(poly); the body count must match.
@@ -105,6 +105,9 @@ def mixed_integral(poly: Polynomial, system: BodySystem):
     if poly.num_vars != system.direction.ambient_dim:
         raise DomainError(f"polynomial in {poly.num_vars} variables over bodies in "
                           f"dimension {system.direction.ambient_dim}")
+    if poly.is_zero():
+        raise DomainError("mixed integral of the zero polynomial: it has no degree, "
+                          "so no body count fits")
     if not poly.is_homogeneous():
         raise DomainError("mixed integral requires a homogeneous polynomial")
     m = system.direction.rank

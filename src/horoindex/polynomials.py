@@ -3,13 +3,15 @@
 Terms are stored as {exponent tuple: coefficient}; zero coefficients are
 never stored.  Includes exact integration over rational polytopes via
 triangulation and the closed form for monomial integrals over the standard
-simplex.
+simplex, and `product_values`, which evaluates a product of integer affine
+forms at integer points without expanding it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
+from operator import mul
 
 from .errors import DomainError
 from .polytopes import Polytope, _simplices
@@ -186,6 +188,16 @@ class Polynomial:
             else:
                 parts.append(str(coef))
         return " + ".join(parts)
+
+
+def product_values(forms, points):
+    """Yield prod(a.x + b for a, b in forms) at each point x, in ints when
+    the forms and the points are integer."""
+    for x in points:
+        value = 1
+        for a, b in forms:
+            value *= sum(map(mul, a, x)) + b
+        yield value
 
 
 def _simplex_monomial_integral(exponents):

@@ -20,7 +20,8 @@ fraction-free elimination, and volumes take integer determinants.
 Lattice points are enumerated by slices in lattice coordinates: all span
 pivots but the last range over the bounding box, and the facet inequalities
 give the last pivot's integer interval, so no point is tested for
-membership.
+membership.  They come out as int tuples whenever the lattice's offset is
+integral.
 """
 
 from __future__ import annotations
@@ -316,14 +317,16 @@ def volume(p: Polytope, lattice: AffineLattice):
 
 
 def lattice_points(p: Polytope, lattice: AffineLattice):
-    """All points of the affine lattice inside p, sorted.
+    """All points of the affine lattice inside p, sorted: int tuples when the
+    lattice's offset is integral, `Fraction` tuples otherwise.
 
     Every vertex of p must lie in the affine span of the lattice (all uses in
     this library satisfy that).  Enumeration works in lattice coordinates,
-    on the hull of the vertices' coordinates there (p itself when those are
-    its vertices, as on the standard lattice), slice by slice: see
-    `_integer_points`.  Only the points found are mapped back to ambient
-    points; no candidate is tested for membership.
+    on the hull of the vertices' coordinates there, slice by slice: see
+    `_integer_points`.  When those coordinates are p's own vertices, as on
+    the standard lattice, the affine map back to ambient points fixes p's
+    span, so the integer points found are the answer; otherwise only the
+    points found are mapped back.  No candidate is tested for membership.
     """
     coords = []
     for v in p.vertices:
@@ -331,12 +334,13 @@ def lattice_points(p: Polytope, lattice: AffineLattice):
         if c is None:
             raise DomainError("polytope must lie in the affine span of the lattice")
         coords.append(c)
-    q = p if coords == list(p.vertices) else hull(coords)
-    return sorted(lattice.point_at(c) for c in _integer_points(q))
+    if coords == list(p.vertices):
+        return sorted(_integer_points(p))
+    return sorted(map(lattice.point_at, _integer_points(hull(coords))))
 
 
 def _integer_points(q: Polytope):
-    """Yield the integer points of q, slice by slice.
+    """Yield the integer points of q as int tuples, slice by slice.
 
     The span pivots of q but the last range over the integers of q's
     bounding box.  With such a prefix fixed, each facet n.c <= b becomes a
@@ -354,8 +358,9 @@ def _integer_points(q: Polytope):
         return
     boxes = [(rat_ceil(min(v[j] for v in q.vertices)),
               rat_floor(max(v[j] for v in q.vertices))) for j in pivots]
-    # n.(x - base) <= b at the pivots, as n.x <= b + n.base
-    bounds = [(n[:-1], n[-1], b + sum(a * base[j] for a, j in zip(n, pivots)))
+    # n.(x - base) <= b at the pivots, as n.x <= b + n.base; n.x is an
+    # integer, so the right side may be rounded down to one
+    bounds = [(n[:-1], n[-1], rat_floor(b + sum(a * base[j] for a, j in zip(n, pivots))))
               for n, b in q.facets]
     full = len(pivots) == len(base)
     for prefix in itertools.product(*(range(lo, hi + 1) for lo, hi in boxes[:-1])):

@@ -3,7 +3,8 @@
 All arithmetic in the library is exact.  Rational values (points, weights,
 volumes, integrals, polynomial coefficients) are fractions.Fraction, named
 Q throughout; the geometry kernel in `linalg` and `polytopes` scales them
-to Python ints once and computes on those.
+to Python ints once and computes on those, as does the Hilbert route.  The
+helpers below accept ints too, which carry numerator and denominator.
 """
 
 from fractions import Fraction as Q
@@ -30,3 +31,8 @@ def format_rat(q) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def format_point(v) -> str:
+    """Render a point as '(p, p/q, ...)', for messages."""
+    return "(" + ", ".join(format_rat(x) for x in v) + ")"

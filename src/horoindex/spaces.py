@@ -13,7 +13,9 @@ The index of a system of supports is computed by three independent routes:
 * mixed volume of the Gelfand-Tsetlin lifts of the moment polytopes, taken
   as the polarization of D -> vol(lift(D)) over the moment polytopes,
 * (on diagonals, quotient mode) the leading coefficient of the Hilbert
-  function k -> sum of irreducible dimensions over the dilated polytope.
+  function k -> sum of irreducible dimensions over the dilated polytope,
+  taken in ints: each dimension is a product of integer Weyl forms at an
+  integer lattice point, divided once by the forms' integer divisor.
 
 Exact agreement of the routes is the library's own strongest self-check and
 is enforced by `index_report`.  The polytope routes share one polarization
@@ -31,10 +33,10 @@ from .errors import DomainError, RouteDisagreementError, ValidationError
 from .gelfand_tsetlin import free_pattern_entries, newton_lift
 from .lattices import AffineLattice
 from .polarization import polarize
-from .polynomials import integrate
+from .polynomials import integrate, product_values
 from .polytopes import Polytope, dilate, hull, lattice_points, volume
-from .rationals import Q, is_integral
-from .weyl import ChamberFace, restricted_weyl, space_dims
+from .rationals import Q, format_point, format_rat, is_integral
+from .weyl import ChamberFace, dimension_forms, restricted_weyl, space_dims
 
 QUOTIENT_MODE = "quotient_by_commutator"
 GENERAL_MODE = "general"
@@ -101,9 +103,10 @@ class SupportSet:
             if len(w) != self.space.face.dim:
                 raise DomainError("support weight has wrong face dimension")
             if any(not is_integral(x) for x in w):
-                raise DomainError(f"support weight {w} is not integral")
+                raise DomainError(f"support weight {format_point(w)} is not integral")
             if not self.space.face.face_contains_coords(w):
-                raise DomainError(f"support weight {w} is not dominant on the face")
+                raise DomainError(f"support weight {format_point(w)} is not dominant "
+                                  f"on the face")
         if self.space.mode == GENERAL_MODE:
             base = pts[0]
             for w in pts[1:]:
@@ -111,7 +114,7 @@ class SupportSet:
                 if not self.space.lambda_h.contains(diff):
                     raise DomainError(
                         f"support weights must lie in one coset of Lambda(H); "
-                        f"{w} - {base} is not in the lattice")
+                        f"{format_point(w)} - {format_point(base)} is not in the lattice")
         object.__setattr__(self, "weights", tuple(pts))
 
     @classmethod
@@ -263,19 +266,26 @@ def index_via_lift(space: HorosphericalSpace, supports):
 def hilbert_function(space: HorosphericalSpace, support: SupportSet, k: int) -> int:
     """dim of the completion of the k-th power: the sum of irreducible
     dimensions over the face-lattice points of the k-fold dilated moment
-    polytope.  Quotient mode only."""
+    polytope.  Quotient mode only.
+
+    Every point is an int tuple and every dimension the int product of the
+    face's `dimension_forms` there, divided by their divisor; a remainder
+    or a value <= 0 is a bug, never a dimension, and raises.
+    """
     if space.mode != QUOTIENT_MODE:
         raise DomainError("the Hilbert function is defined for quotient mode only")
     if k < 0:
         raise DomainError("Hilbert function argument must be nonnegative")
-    f_sigma, _ = space.weyl_restriction
-    poly = dilate(moment_polytope(support), k)
+    forms, divisor = dimension_forms(space.face)
+    points = lattice_points(dilate(moment_polytope(support), k),
+                            AffineLattice.standard(space.face.dim))
     total = 0
-    for pt in lattice_points(poly, AffineLattice.standard(space.face.dim)):
-        value = f_sigma(pt)
-        if not is_integral(value) or value <= 0:
-            raise ValidationError(f"dimension formula gave {value} at {pt}")
-        total += int(value.numerator)
+    for pt, value in zip(points, product_values(forms, points)):
+        dim, rem = divmod(value, divisor)
+        if rem or dim <= 0:
+            raise ValidationError(f"dimension formula gave {format_rat(Q(value, divisor))} "
+                                  f"at {format_point(pt)}")
+        total += dim
     return total
 
 

@@ -10,8 +10,13 @@ The dimension polynomial of an irreducible representation is
 
 a polynomial of degree (dim G - rank G)/2.  Chamber faces are given by
 partitions of each factor's coordinates into consecutive blocks; weights on
-the face are constant on each block.  F restricted to a face keeps only the
-cross-block pairs in its top homogeneous component.
+the face are constant on each block.  On a face, a pair i < j inside one
+block contributes (j - i)/(j - i) = 1, and a cross-block pair the integer
+affine form c_I - c_J + (j - i) in the block coordinates c.  So F restricted
+to a face is a product of integer forms over one integer divisor
+(`dimension_forms`), which is how dimensions are evaluated, in ints; the
+expanded polynomials (`restricted_weyl`) are built from the same forms, and
+their top homogeneous component keeps only the cross-block pairs.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from functools import lru_cache
 
 from .errors import DomainError
 from .lattices import AffineLattice
-from .polynomials import Polynomial
-from .rationals import Q, is_integral
+from .polynomials import Polynomial, product_values
+from .rationals import Q, format_point, format_rat
 
 
 @dataclass(frozen=True)
@@ -69,28 +74,22 @@ class GroupDescriptor:
 
 
 def weyl_polynomial(group: GroupDescriptor) -> Polynomial:
-    """The polynomial whose value at a dominant weight is dim V_lambda."""
-    r = group.rank
-    result = Polynomial.constant(1, r)
-    for start, stop in group.factor_slices():
-        for i in range(start, stop):
-            for j in range(i + 1, stop):
-                coeffs = [0] * r
-                coeffs[i], coeffs[j] = 1, -1
-                gap = j - i
-                result = result * Polynomial.linear(coeffs, gap) * Q(1, gap)
-    return result
+    """The polynomial whose value at a dominant weight is dim V_lambda: F
+    on the full chamber, whose face coordinates are the weight coordinates."""
+    return restricted_weyl(ChamberFace.full_chamber(group))[0]
 
 
 def dim_irrep(group: GroupDescriptor, weight) -> int:
     weight = tuple(int(x) for x in weight)
     if not group.is_dominant(weight):
-        raise DomainError(f"weight {weight} is not dominant")
-    value = weyl_polynomial(group)(weight)
-    if not is_integral(value) or value <= 0:
+        raise DomainError(f"weight {format_point(weight)} is not dominant")
+    forms, divisor = dimension_forms(ChamberFace.full_chamber(group))
+    value = next(product_values(forms, [weight]))
+    dim, rem = divmod(value, divisor)
+    if rem or dim <= 0:
         raise DomainError(f"dimension formula gave a non-positive or fractional "
-                          f"value {value} at {weight}")
-    return int(value.numerator)
+                          f"value {format_rat(Q(value, divisor))} at {format_point(weight)}")
+    return dim
 
 
 @dataclass(frozen=True)
@@ -129,24 +128,6 @@ class ChamberFace:
                 return b
         raise DomainError("column out of range")
 
-    def embedding_matrix(self):
-        """rank x dim matrix E with full_weight = E @ face_coordinates."""
-        r, s = self.group.rank, self.dim
-        mat = [[0] * s for _ in range(r)]
-        col = 0
-        row = 0
-        for sizes in self.blocks:
-            for size in sizes:
-                for _ in range(size):
-                    mat[row][col] = 1
-                    row += 1
-                col += 1
-        for _ in range(self.group.torus_rank):
-            mat[row][col] = 1
-            row += 1
-            col += 1
-        return mat
-
     def face_coordinates(self, weight):
         """Block coordinates of a block-constant weight; raises otherwise."""
         weight = tuple(Q(x) for x in weight)
@@ -158,7 +139,8 @@ class ChamberFace:
             for size in sizes:
                 vals = weight[pos:pos + size]
                 if any(v != vals[0] for v in vals):
-                    raise DomainError(f"weight {weight} is not constant on the face blocks")
+                    raise DomainError(f"weight {format_point(weight)} is not constant "
+                                      f"on the face blocks")
                 out.append(vals[0])
                 pos += size
         out.extend(weight[pos:])
@@ -215,24 +197,44 @@ class ChamberFace:
 
 
 @lru_cache(maxsize=None)
+def dimension_forms(face: ChamberFace):
+    """(forms, divisor): F_sigma(c) = prod(a.c + gap for a, gap in forms) / divisor.
+
+    One integer affine form (a, gap) in face coordinates per positive root
+    e_i - e_j (i < j in one GL factor) whose coordinates lie in different
+    blocks I and J: a = e_I - e_J and gap = j - i.  divisor is the product
+    of the gaps.  The roots inside one block contribute 1 and are left out.
+    """
+    forms, divisor, first = [], 1, 0  # first: face index of the factor's first block
+    for factor, n in enumerate(face.group.gl_factors):
+        block = [first + face.block_of_column(factor, col) for col in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            if block[i] != block[j]:
+                a = [0] * face.dim
+                a[block[i]], a[block[j]] = 1, -1
+                forms.append((tuple(a), j - i))
+                divisor *= j - i
+        first += len(face.blocks[factor])
+    return tuple(forms), divisor
+
+
+@lru_cache(maxsize=None)
 def restricted_weyl(face: ChamberFace):
     """(F_sigma, phi_sigma): the dimension polynomial in face coordinates and
-    its top homogeneous component.  deg(phi_sigma) counts the positive roots
-    crossing distinct blocks, i.e. dim G/P."""
-    f = weyl_polynomial(face.group)
-    matrix = face.embedding_matrix()
-    f_sigma = f.compose_affine(matrix, [0] * face.group.rank)
-    return f_sigma, f_sigma.top_component()
+    its top homogeneous component, expanded from `dimension_forms`; phi_sigma
+    is the product of the forms' linear parts.  deg(phi_sigma) counts the
+    positive roots crossing distinct blocks, i.e. dim G/P."""
+    forms, divisor = dimension_forms(face)
+    f_sigma = phi = Polynomial.constant(Q(1, divisor), face.dim)
+    for a, gap in forms:
+        f_sigma = f_sigma * Polynomial.linear(a, gap)
+        phi = phi * Polynomial.linear(a)
+    return f_sigma, phi
 
 
 def cross_pair_count(face: ChamberFace) -> int:
     """Number of positive roots not vanishing on the face (= deg phi_sigma)."""
-    total = 0
-    for factor, n in enumerate(face.group.gl_factors):
-        for i, j in itertools.combinations(range(n), 2):
-            if face.block_of_column(factor, i) != face.block_of_column(factor, j):
-                total += 1
-    return total
+    return len(dimension_forms(face)[0])
 
 
 def space_dims(face: ChamberFace, lambda_h: AffineLattice):

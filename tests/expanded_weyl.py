@@ -1,0 +1,50 @@
+"""The expanded `Fraction` Weyl polynomials and the Hilbert function summed
+from them: the reference the factored integer route is compared against.
+
+Weyl's formula is expanded as a `Polynomial` with rational coefficients,
+restricted to a face by substituting its embedding, and evaluated point by
+point in `Fraction`s, without `weyl.dimension_forms` or
+`polynomials.product_values`.
+"""
+
+from horoindex import AffineLattice, Polynomial, Q, dilate, lattice_points, moment_polytope
+
+
+def expanded_weyl_polynomial(group):
+    """prod over factors prod_{i<j} (l_i - l_j + j - i) / (j - i), expanded."""
+    r = group.rank
+    result = Polynomial.constant(1, r)
+    for start, stop in group.factor_slices():
+        for i in range(start, stop):
+            for j in range(i + 1, stop):
+                coeffs = [0] * r
+                coeffs[i], coeffs[j] = 1, -1
+                result = result * Polynomial.linear(coeffs, j - i) * Q(1, j - i)
+    return result
+
+
+def embedding_matrix(face):
+    """rank x dim matrix E with full_weight = E @ face_coordinates: column c
+    is the full weight of the c-th unit vector of face coordinates."""
+    cols = [face.expand(tuple(int(i == c) for i in range(face.dim)))
+            for c in range(face.dim)]
+    return [tuple(col[r] for col in cols) for r in range(face.group.rank)]
+
+
+def expanded_restriction(face):
+    """F_sigma: the expanded polynomial pulled back to face coordinates."""
+    return expanded_weyl_polynomial(face.group).compose_affine(
+        embedding_matrix(face), [0] * face.group.rank)
+
+
+def hilbert_function_by_expansion(space, support, k):
+    """Sum of F_sigma, evaluated in `Fraction`s, over the lattice points of
+    the k-fold dilated moment polytope."""
+    f_sigma = expanded_restriction(space.face)
+    poly = dilate(moment_polytope(support), k)
+    total = Q(0)
+    for pt in lattice_points(poly, AffineLattice.standard(space.face.dim)):
+        value = f_sigma(pt)
+        assert value.denominator == 1 and value > 0, (value, pt)
+        total += value
+    return int(total)

@@ -184,6 +184,17 @@ def test_mixed_integral_variable_count_mismatch(tmp_path, capsys):
     assert json.loads(err)["error"] == "validation"
 
 
+def test_mixed_integral_rejects_the_zero_polynomial_by_name(tmp_path, capsys):
+    tri = {"vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}
+    obj = {"polynomial": {"terms": [{"exp": [2, 0], "coef": 0}]}, "bodies": [tri] * 4}
+    path = write(tmp_path, "bodies.json", obj)
+    code, out, err = run_cli(["mixed-integral", path], capsys)
+    assert code == 3
+    assert out == ""
+    detail = json.loads(err)["detail"]
+    assert "zero polynomial" in detail and "needs" not in detail
+
+
 def test_verify_quick(capsys):
     code, out, _ = run_cli(["verify", "--quick"], capsys)
     assert code == 0

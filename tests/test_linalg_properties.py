@@ -3,8 +3,9 @@ fraction-free elimination against the `Fraction` Gauss-Jordan kernel.
 
 `rref`, `rank` and `solve` must equal the oracle exactly.  `nullspace`
 returns an integer basis instead of the canonical rational one, so it must
-have the oracle's length and span the oracle's kernel, and `normal_vector`
-must be its primitive generator.
+have the oracle's length and span the oracle's kernel.  `normal_vector`
+takes integer rows; on the rows scaled to ints, which keeps the kernel, it
+must be the primitive generator.
 """
 
 from math import gcd
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 import fraction_kernel as oracle
 from horoindex import Q
-from horoindex.linalg import normal_vector, nullspace, rank, rref, solve
+from horoindex.linalg import (common_denominator, normal_vector, nullspace, rank,
+                              rref, scaled, solve)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=400)
 
@@ -83,7 +85,7 @@ def test_nullspace_is_an_integer_basis_of_the_fraction_kernel(case):
 def test_normal_vector_is_the_primitive_kernel_generator(case):
     _, rows = case
     basis = nullspace(rows)
-    n = normal_vector(rows)
+    n = normal_vector([scaled(row, common_denominator(row)) for row in rows])
     if len(basis) != 1:
         assert n is None
         return
