@@ -15,21 +15,20 @@ def main():
     lam = (2, 1, 0)
     gt = gt_polytope(lam)
     print(f"weight {lam}: polytope dim {gt.dim}, "
-          f"{len(gt.polytope.vertices)} vertices")
+          f"{len(gt.vertices)} vertices")
     print(f"  lattice patterns: {gt_lattice_count(lam)}")
     print(f"  Weyl dimension:   {dim_irrep(GroupDescriptor((3,)), lam)}")
 
     gam = (3, 1, 1)
     total = tuple(a + b for a, b in zip(lam, gam))
-    same = gt_polytope(total).polytope == minkowski_sum(
-        gt_polytope(lam).polytope, gt_polytope(gam).polytope)
+    same = gt_polytope(total) == minkowski_sum(gt_polytope(lam), gt_polytope(gam))
     print(f"Minkowski linearity at {lam} + {gam}: {same}")
 
     face = ChamberFace.full_chamber(GroupDescriptor((3,)))
     _, phi = restricted_weyl(face)
     std = AffineLattice.standard(pattern_dim(3))
     for lam in [(2, 1, 0), (4, 2, 0), (5, 3, 1)]:
-        v = volume(gt_polytope(lam).polytope, std)
+        v = volume(gt_polytope(lam), std)
         print(f"volume at {lam}: {v} = phi{lam} = {phi(lam)}")
 
 

@@ -9,7 +9,7 @@ from .errors import (DomainError, HoroindexError, RouteDisagreementError,
                      ValidationError)
 from .finite_sets import (FiniteSet, analogous, completion_set,
                           saturation_check, sumset)
-from .gelfand_tsetlin import (GTPolytope, fiber_vertices, free_pattern_entries,
+from .gelfand_tsetlin import (fiber_vertices, free_pattern_entries,
                               gt_lattice_count, gt_polytope, newton_lift,
                               pattern_dim, pattern_positions)
 from .lattices import AffineLattice
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineLattice", "BodySystem", "ChamberFace", "DomainError", "FiniteSet",
-    "GENERAL_MODE", "GTPolytope", "GroupDescriptor", "HoroindexError",
+    "GENERAL_MODE", "GroupDescriptor", "HoroindexError",
     "HorosphericalSpace", "IndexReport", "Polynomial", "Polytope", "Q",
     "QUOTIENT_MODE", "RouteDisagreementError", "SupportSet",
     "ValidationError", "analogous", "completion_set", "completion_support",

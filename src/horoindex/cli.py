@@ -151,8 +151,8 @@ def cmd_gc(args):
         _emit({"vertices": [[]]}, args)
         return 0
     gt = gt_polytope(tuple(Q(x) for x in weight))
-    payload = polytope_to_json(gt.polytope)
-    payload["volume"] = rat_to_json(volume(gt.polytope, AffineLattice.standard(pattern_dim(args.n))))
+    payload = polytope_to_json(gt)
+    payload["volume"] = rat_to_json(volume(gt, AffineLattice.standard(pattern_dim(args.n))))
     _emit(payload, args)
     return 0
 

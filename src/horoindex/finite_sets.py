@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .errors import DomainError
 from .lattices import AffineLattice
 from .polytopes import Polytope, dilate, hull, lattice_points
-from .rationals import Q
+from .rationals import Q, format_point
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class FiniteSet:
         object.__setattr__(self, "lattice", lattice)
         for p in self.points:
             if not self.lattice.contains(p):
-                raise DomainError(f"point {p} not in the ambient lattice")
+                raise DomainError(f"point {format_point(p)} not in the ambient lattice")
 
     @property
     def ambient_dim(self) -> int:

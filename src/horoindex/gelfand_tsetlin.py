@@ -13,6 +13,10 @@ exactly when every block of entries linked by tight relations reaches the
 weight row (Pegel, Order 2018), and as rows are non-increasing, an entry
 strictly between its upper neighbours is linked to nothing above its row.
 So vertices copy weight entries and are integral for an integral weight.
+`gt_polytope` is the hull of those vertices, a plain `Polytope`; the
+inequalities themselves are never built.  Every weight is validated by one
+check, `_check_weight` (nonempty, non-increasing), and `gt_lattice_count`
+also insists on integral entries.
 
 The map weight -> polytope is Minkowski-linear on the dominant cone, the
 number of integral patterns equals dim V_lambda, and the (span-relative)
@@ -29,12 +33,11 @@ their own coordinate subspace.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
 from .polytopes import Polytope, hull
-from .rationals import Q, format_point
+from .rationals import Q, format_point, is_integral
 from .weyl import ChamberFace
 
 
@@ -56,44 +59,6 @@ def _check_weight(weight):
     return weight
 
 
-def gt_inequalities(weight):
-    """Interlacing system A x <= b over the pattern coordinates.
-
-    Row n is the constant weight; every other entry is a variable.
-    """
-    weight = _check_weight(weight)
-    n = len(weight)
-    pos = pattern_positions(n)
-    index = {rc: i for i, rc in enumerate(pos)}
-    dim = len(pos)
-    rows, rhs = [], []
-
-    def add(coeffs, bound):
-        rows.append(tuple(coeffs))
-        rhs.append(bound)
-
-    for r in range(n - 1, 0, -1):
-        for c in range(1, r + 1):
-            i = index[(r, c)]
-            # upper neighbour x[r+1][c] >= x[r][c]
-            coeffs = [0] * dim
-            coeffs[i] = 1
-            if r + 1 == n:
-                add(coeffs, weight[c - 1])
-            else:
-                coeffs[index[(r + 1, c)]] = -1
-                add(coeffs, Q(0))
-            # lower neighbour x[r][c] >= x[r+1][c+1]
-            coeffs = [0] * dim
-            coeffs[i] = -1
-            if r + 1 == n:
-                add(coeffs, -weight[c])
-            else:
-                coeffs[index[(r + 1, c + 1)]] = 1
-                add(coeffs, Q(0))
-    return rows, rhs
-
-
 def _gt_vertices(weight):
     """Sorted vertices of GT(weight), for a dominant weight of rationals: each
     entry of the next row is row[i] or row[i+1], so rows interlace."""
@@ -107,24 +72,8 @@ def _gt_vertices(weight):
     return sorted(patterns(weight))
 
 
-@dataclass(frozen=True)
-class GTPolytope:
-    polytope: Polytope
-    weight: tuple
-
-    @property
-    def dim(self) -> int:
-        return self.polytope.dim
-
-    def contains_pattern(self, pattern) -> bool:
-        rows, rhs = gt_inequalities(self.weight)
-        pattern = tuple(Q(x) for x in pattern)
-        return all(sum(a * x for a, x in zip(row, pattern)) <= b
-                   for row, b in zip(rows, rhs))
-
-
 @lru_cache(maxsize=None)
-def gt_polytope(weight) -> GTPolytope:
+def gt_polytope(weight) -> Polytope:
     """The Gelfand-Tsetlin polytope of a dominant weight (rational allowed).
 
     Its vertices are built directly, each entry copying an upper neighbour:
@@ -135,16 +84,16 @@ def gt_polytope(weight) -> GTPolytope:
     if n == 1:
         # no pattern coordinates; callers detect this via pattern_dim(1) == 0
         raise DomainError("GL(1) has an empty pattern space")
-    return GTPolytope(hull(_gt_vertices(weight)), weight)
+    return hull(_gt_vertices(weight))
 
 
 def gt_lattice_count(weight) -> int:
-    """Number of integral Gelfand-Tsetlin patterns = dim V_lambda."""
-    weight = tuple(int(x) for x in weight)
-    if not weight:
-        raise DomainError("a GL(n) weight needs n >= 1 entries")
-    if any(weight[i] < weight[i + 1] for i in range(len(weight) - 1)):
-        raise DomainError(f"weight {format_point(weight)} is not dominant")
+    """Number of integral Gelfand-Tsetlin patterns = dim V_lambda, for a
+    dominant integral weight."""
+    weight = _check_weight(weight)
+    if not all(is_integral(x) for x in weight):
+        raise DomainError(f"weight {format_point(weight)} is not integral")
+    weight = tuple(x.numerator for x in weight)
 
     def count(row):
         if len(row) == 1:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import mul
 
 from .errors import DomainError, check_length
@@ -15,23 +15,21 @@ class AffineLattice:
     """The affine lattice offset + Z b_1 + ... + Z b_s in Q^n.
 
     Basis vectors are integer and linearly independent; the offset may be
-    rational.  The rank-0 lattice (a single point) is allowed.
+    rational, and n is its length.  The rank-0 lattice (a single point) is
+    allowed.
     """
 
     offset: tuple
     basis: tuple  # tuple of integer tuples
-    ambient_dim: int = field(default=-1)
 
     def __post_init__(self):
         offset = tuple(Q(x) for x in self.offset)
         if not all(is_integral(Q(x)) for b in self.basis for x in b):
             raise DomainError("lattice basis entries must be integers")
         basis = tuple(tuple(int(x) for x in b) for b in self.basis)
-        dim = self.ambient_dim if self.ambient_dim >= 0 else len(offset)
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "ambient_dim", dim)
-        if any(len(b) != dim for b in basis) or len(offset) != dim:
+        if any(len(b) != len(offset) for b in basis):
             raise DomainError("lattice offset/basis dimension mismatch")
         if basis and rank(basis) != len(basis):
             raise DomainError("lattice basis vectors must be linearly independent")
@@ -39,7 +37,11 @@ class AffineLattice:
     @classmethod
     def standard(cls, n: int) -> "AffineLattice":
         unit = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        return cls(offset=(0,) * n, basis=unit, ambient_dim=n)
+        return cls(offset=(0,) * n, basis=unit)
+
+    @property
+    def ambient_dim(self) -> int:
+        return len(self.offset)
 
     @property
     def rank(self) -> int:

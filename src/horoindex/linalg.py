@@ -35,13 +35,6 @@ def vscale(c, v):
     return tuple(c * a for a in v)
 
 
-def dot(u, v):
-    s = ZERO
-    for a, b in zip(u, v):
-        s += a * b
-    return s
-
-
 def common_denominator(values):
     """Least common multiple of the denominators of ints and rationals."""
     return lcm(*(x.denominator for x in values))

@@ -67,20 +67,6 @@ class Polynomial:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def homogeneous_components(self) -> dict:
-        out = {}
-        for exp, coef in self.terms.items():
-            d = sum(exp)
-            out.setdefault(d, {})[exp] = coef
-        return {d: Polynomial(t, self.num_vars) for d, t in sorted(out.items())}
-
-    def top_component(self) -> "Polynomial":
-        if not self.terms:
-            return self
-        d = self.degree()
-        return Polynomial({e: c for e, c in self.terms.items() if sum(e) == d},
-                          self.num_vars)
-
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
         terms = dict(self.terms)
@@ -173,21 +159,6 @@ class Polynomial:
                 raise DomainError("variable count mismatch")
             return other
         return Polynomial.constant(other, self.num_vars)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exp in sorted(self.terms, key=lambda e: (-sum(e), e)):
-            coef = self.terms[exp]
-            monos = [f"x{i}" if e == 1 else f"x{i}^{e}"
-                     for i, e in enumerate(exp) if e]
-            body = "*".join(monos)
-            if body:
-                parts.append(f"{coef}*{body}" if coef != 1 else body)
-            else:
-                parts.append(str(coef))
-        return " + ".join(parts)
 
 
 def product_values(forms, points):

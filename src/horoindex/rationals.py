@@ -11,7 +11,6 @@ from fractions import Fraction as Q
 
 
 ZERO = Q(0)
-ONE = Q(1)
 
 
 def rat_floor(q):

@@ -84,15 +84,9 @@ def lattice_from_json(obj) -> AffineLattice:
     obj = _object(obj, "a lattice")
     offset = vector_from_json(obj.get("offset", []))
     basis = tuple(int_vector_from_json(b) for b in _array(obj.get("basis", []), "'basis'"))
-    dim = len(offset) if offset else (len(basis[0]) if basis else 0)
     if not offset:
-        offset = (0,) * dim
-    return AffineLattice(offset, basis, dim)
-
-
-def lattice_to_json(lat: AffineLattice) -> dict:
-    return {"offset": vector_to_json(lat.offset),
-            "basis": [list(b) for b in lat.basis]}
+        offset = (0,) * (len(basis[0]) if basis else 0)
+    return AffineLattice(offset, basis)
 
 
 def polynomial_from_json(obj) -> Polynomial:
@@ -137,20 +131,12 @@ def group_from_json(obj) -> GroupDescriptor:
                            _int_from_json(obj.get("torus", 0)))
 
 
-def group_to_json(g: GroupDescriptor) -> dict:
-    return {"gl": list(g.gl_factors), "torus": g.torus_rank}
-
-
 def face_from_json(group: GroupDescriptor, obj) -> ChamberFace:
     blocks = _object(obj, "'face'").get("blocks")
     if blocks is None:
         return ChamberFace.full_chamber(group)
     return ChamberFace(group, tuple(int_vector_from_json(bs)
                                     for bs in _array(blocks, "'blocks'")))
-
-
-def face_to_json(face: ChamberFace) -> dict:
-    return {"blocks": [list(bs) for bs in face.blocks]}
 
 
 def problem_from_json(obj):

@@ -274,6 +274,8 @@ def hilbert_function(space: HorosphericalSpace, support: SupportSet, k: int) -> 
     """
     if space.mode != QUOTIENT_MODE:
         raise DomainError("the Hilbert function is defined for quotient mode only")
+    if type(k) is not int:
+        raise DomainError(f"Hilbert function argument k must be an int, got {k!r}")
     if k < 0:
         raise DomainError("Hilbert function argument must be nonnegative")
     forms, divisor = dimension_forms(space.face)

@@ -2,7 +2,10 @@
 
 Weight coordinates are the GL blocks concatenated in declaration order,
 followed by the torus coordinates.  Dominance is the non-increasing
-convention within each GL factor: l_1 >= l_2 >= ... >= l_n.
+convention within each GL factor: l_1 >= l_2 >= ... >= l_n.  This module
+checks it only in `ChamberFace.face_contains_coords`: the full chamber's
+face coordinates are the weight coordinates, so `dim_irrep` checks a
+weight there.
 
 The dimension polynomial of an irreducible representation is
 
@@ -28,7 +31,7 @@ from functools import lru_cache
 from .errors import DomainError
 from .lattices import AffineLattice
 from .polynomials import Polynomial, product_values
-from .rationals import Q, format_point, format_rat
+from .rationals import Q, format_point, format_rat, is_integral
 
 
 @dataclass(frozen=True)
@@ -50,28 +53,6 @@ class GroupDescriptor:
     def dim(self) -> int:
         return sum(n * n for n in self.gl_factors) + self.torus_rank
 
-    @property
-    def num_positive_roots(self) -> int:
-        return sum(n * (n - 1) // 2 for n in self.gl_factors)
-
-    def factor_slices(self):
-        """(start, stop) coordinate ranges, one per GL factor."""
-        out, pos = [], 0
-        for n in self.gl_factors:
-            out.append((pos, pos + n))
-            pos += n
-        return out
-
-    def is_dominant(self, weight) -> bool:
-        weight = tuple(weight)
-        if len(weight) != self.rank:
-            raise DomainError("weight length does not match group rank")
-        for start, stop in self.factor_slices():
-            block = weight[start:stop]
-            if any(block[i] < block[i + 1] for i in range(len(block) - 1)):
-                return False
-        return True
-
 
 def weyl_polynomial(group: GroupDescriptor) -> Polynomial:
     """The polynomial whose value at a dominant weight is dim V_lambda: F
@@ -80,10 +61,18 @@ def weyl_polynomial(group: GroupDescriptor) -> Polynomial:
 
 
 def dim_irrep(group: GroupDescriptor, weight) -> int:
-    weight = tuple(int(x) for x in weight)
-    if not group.is_dominant(weight):
+    """dim V_lambda for a dominant integral weight, whose coordinates are the
+    full chamber's face coordinates."""
+    weight = tuple(Q(x) for x in weight)
+    if len(weight) != group.rank:
+        raise DomainError("weight length does not match group rank")
+    if not all(is_integral(x) for x in weight):
+        raise DomainError(f"weight {format_point(weight)} is not integral")
+    chamber = ChamberFace.full_chamber(group)
+    if not chamber.face_contains_coords(weight):
         raise DomainError(f"weight {format_point(weight)} is not dominant")
-    forms, divisor = dimension_forms(ChamberFace.full_chamber(group))
+    weight = tuple(x.numerator for x in weight)
+    forms, divisor = dimension_forms(chamber)
     value = next(product_values(forms, [weight]))
     dim, rem = divmod(value, divisor)
     if rem or dim <= 0:
@@ -160,32 +149,11 @@ class ChamberFace:
         out.extend(face_coords[i:])
         return tuple(out)
 
-    def contains(self, weight) -> bool:
-        """weight lies on the (closed) face: block-constant and dominant."""
-        try:
-            coords = self.face_coordinates(weight)
-        except DomainError:
-            return False
-        return self.face_contains_coords(coords)
-
     def face_contains_coords(self, face_coords) -> bool:
         i = 0
         for sizes in self.blocks:
             vals = face_coords[i:i + len(sizes)]
             if any(vals[j] < vals[j + 1] for j in range(len(vals) - 1)):
-                return False
-            i += len(sizes)
-        return True
-
-    def relative_interior_contains(self, weight) -> bool:
-        try:
-            coords = self.face_coordinates(weight)
-        except DomainError:
-            return False
-        i = 0
-        for sizes in self.blocks:
-            vals = coords[i:i + len(sizes)]
-            if any(vals[j] <= vals[j + 1] for j in range(len(vals) - 1)):
                 return False
             i += len(sizes)
         return True

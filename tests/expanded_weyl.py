@@ -1,5 +1,6 @@
 """The expanded `Fraction` Weyl polynomials and the Hilbert function summed
 from them: the reference the factored integer route is compared against.
+`top_component` reads phi_sigma off an expanded F_sigma.
 
 Weyl's formula is expanded as a `Polynomial` with rational coefficients,
 restricted to a face by substituting its embedding, and evaluated point by
@@ -14,13 +15,25 @@ def expanded_weyl_polynomial(group):
     """prod over factors prod_{i<j} (l_i - l_j + j - i) / (j - i), expanded."""
     r = group.rank
     result = Polynomial.constant(1, r)
-    for start, stop in group.factor_slices():
-        for i in range(start, stop):
-            for j in range(i + 1, stop):
+    start = 0  # the factor's first weight coordinate
+    for n in group.gl_factors:
+        for i in range(start, start + n):
+            for j in range(i + 1, start + n):
                 coeffs = [0] * r
                 coeffs[i], coeffs[j] = 1, -1
                 result = result * Polynomial.linear(coeffs, j - i) * Q(1, j - i)
+        start += n
     return result
+
+
+def top_component(poly):
+    """The terms of poly of the highest total degree: phi_sigma of an
+    expanded F_sigma.  The zero polynomial is its own top component."""
+    if not poly.terms:
+        return poly
+    d = poly.degree()
+    return Polynomial({e: c for e, c in poly.terms.items() if sum(e) == d},
+                      poly.num_vars)
 
 
 def embedding_matrix(face):

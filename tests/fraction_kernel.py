@@ -12,6 +12,13 @@ from horoindex import Q
 ZERO, ONE = Q(0), Q(1)
 
 
+def dot(u, v):
+    s = ZERO
+    for a, b in zip(u, v):
+        s += a * b
+    return s
+
+
 def rref(rows):
     """Reduced row echelon form over Q: (list of nonzero rows, pivot columns)."""
     mat = [[Q(x) for x in r] for r in rows]

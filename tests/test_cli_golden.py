@@ -3,7 +3,8 @@
 Each case runs one verb in-process and compares its stdout with the text in
 `tests/golden/<case>.out`.  The problem files sit next to them: a GL(3) full
 chamber, GL(2) x T^1 and a general-mode wall face of GL(3) with a
-non-standard Lambda(H).  To capture the expected text again, run
+non-standard Lambda(H).  The `gc` cases print the Gelfand-Tsetlin polytope
+of a regular and of a wall weight of GL(3).  To capture the expected text again, run
 `PYTHONPATH=src python tests/test_cli_golden.py --write`; a change of output
 is then a reviewed diff of the `.out` files.
 """
@@ -32,6 +33,10 @@ CASES = {
                     "--blocks", "1,1"],
     "general-completion": ["completion", "general.json"],
     "general-index": ["index", "general.json"],
+    "gl3-moment": ["moment", "gl3.json"],
+    "gl3-newton": ["newton", "gl3.json"],
+    "gc-n3-regular": ["gc", "--n", "3", "--weight", "2,1,0"],
+    "gc-n3-wall": ["gc", "--n", "3", "--weight", "2,2,0"],
 }
 
 

@@ -28,6 +28,11 @@ def test_points_must_lie_in_lattice():
         FiniteSet(frozenset([(1,)]), even)
 
 
+def test_a_point_off_the_lattice_is_named_in_plain_numbers():
+    with pytest.raises(DomainError, match=r"point \(1/2, 0\) not in the ambient lattice"):
+        fs((Q(1, 2), 0))
+
+
 @pytest.mark.parametrize("point, n", [((1, 2), 3), ((1, 2, 3), 2)])
 def test_points_of_the_wrong_dimension_are_rejected(point, n):
     with pytest.raises(DomainError):

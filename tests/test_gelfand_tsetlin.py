@@ -8,8 +8,9 @@ from horoindex import (AffineLattice, ChamberFace, DomainError,
                        gt_polytope, hull, integrate, lattice_points,
                        minkowski_sum, newton_lift, pattern_dim,
                        pattern_positions, restricted_weyl, volume)
-from horoindex.gelfand_tsetlin import _check_weight, _gt_vertices, gt_inequalities
+from horoindex.gelfand_tsetlin import _check_weight, _gt_vertices
 from horoindex.linalg import rank
+from interlacing import contains_pattern, gt_inequalities
 
 
 def random_dominant(rng, n, lo=0, hi=4):
@@ -24,7 +25,7 @@ def test_pattern_positions_order():
 def test_gl2_polytope_is_a_segment():
     gt = gt_polytope((3, 1))
     assert gt.dim == 1
-    assert gt.polytope.vertices == ((Q(1),), (Q(3),))
+    assert gt.vertices == ((Q(1),), (Q(3),))
 
 
 def test_gl3_210_count():
@@ -40,7 +41,7 @@ def test_count_equals_lattice_points_of_polytope():
             lam = random_dominant(rng, n)
             gt = gt_polytope(lam)
             std = AffineLattice.standard(pattern_dim(n))
-            assert gt_lattice_count(lam) == len(lattice_points(gt.polytope, std))
+            assert gt_lattice_count(lam) == len(lattice_points(gt, std))
 
 
 def test_count_equals_weyl_dimension():
@@ -66,8 +67,7 @@ def test_minkowski_linearity():
             lam = random_dominant(rng, n)
             gam = random_dominant(rng, n)
             total = tuple(a + b for a, b in zip(lam, gam))
-            assert gt_polytope(total).polytope == minkowski_sum(
-                gt_polytope(lam).polytope, gt_polytope(gam).polytope)
+            assert gt_polytope(total) == minkowski_sum(gt_polytope(lam), gt_polytope(gam))
 
 
 def test_volume_is_top_weyl_component():
@@ -80,13 +80,24 @@ def test_volume_is_top_weyl_component():
             lam = tuple(sorted((rng.randint(0, 6) for _ in range(n)), reverse=True))
             if len(set(lam)) < n:
                 continue  # needs the relative interior for full dimension
-            gt = gt_polytope(lam)
-            assert volume(gt.polytope, std) == phi(lam)
+            assert volume(gt_polytope(lam), std) == phi(lam)
 
 
 def test_non_dominant_rejected():
     with pytest.raises(DomainError):
         gt_polytope((0, 1))
+
+
+@pytest.mark.parametrize("weight, shown", [((Q(5, 2), 1), "5/2"),
+                                           ((2.9, 1), "6530219459687219/2251799813685248")])
+def test_count_rejects_a_non_integral_weight(weight, shown):
+    with pytest.raises(DomainError, match=rf"weight \({shown}, 1\) is not integral"):
+        gt_lattice_count(weight)
+
+
+def test_count_names_a_non_dominant_weight():
+    with pytest.raises(DomainError, match=r"weight \(0, 1\) is not dominant"):
+        gt_lattice_count((0, 1))
 
 
 def test_empty_weight_rejected():
@@ -99,11 +110,10 @@ def test_empty_weight_rejected():
 def test_inequalities_describe_the_polytope():
     lam = (3, 1, 0)
     rows, rhs = gt_inequalities(lam)
-    gt = gt_polytope(lam)
-    for v in gt.polytope.vertices:
+    for v in gt_polytope(lam).vertices:
         assert all(sum(a * x for a, x in zip(r, v)) <= b for r, b in zip(rows, rhs))
-    assert gt.contains_pattern((2, 1, 1))
-    assert not gt.contains_pattern((2, 2, 1))  # 2 >= x11 >= 2 would force x11=2
+    assert contains_pattern(lam, (2, 1, 1))
+    assert not contains_pattern(lam, (2, 2, 1))  # 2 >= x11 >= 2 would force x11=2
 
 
 def oracle_weights(rng, n):
@@ -144,8 +154,7 @@ def test_fiber_vertices_match_projected_gt_polytope():
     g = GroupDescriptor((3,))
     face = ChamberFace(g, ((1, 2),))
     verts = fiber_vertices(face, (3, 1))
-    gt = gt_polytope((3, 1, 1))
-    expected = sorted({(v[0], v[2]) for v in gt.polytope.vertices})
+    expected = sorted({(v[0], v[2]) for v in gt_polytope((3, 1, 1)).vertices})
     assert sorted(set(verts)) == expected
 
 

@@ -15,9 +15,10 @@ from math import factorial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraction_kernel import ONE, ZERO, clear_denominators, fraction_det, nullspace, rref
+from fraction_kernel import (ONE, ZERO, clear_denominators, dot, fraction_det, nullspace,
+                             rref)
 from horoindex import AffineLattice, DomainError, Q, hull, triangulation, volume
-from horoindex.linalg import det, dot, vsub
+from horoindex.linalg import det, vsub
 from horoindex.polytopes import _span_sublattice
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from horoindex.linalg import det, dot, integer_kernel, nullspace, rank, rref, solve
+from fraction_kernel import dot
+from horoindex.linalg import det, integer_kernel, nullspace, rank, rref, solve
 from horoindex.rationals import Q
 
 

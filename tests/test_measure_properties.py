@@ -81,8 +81,7 @@ def lattices(draw):
         offset = tuple(draw(small_rational) + Q(1, 3) for _ in range(n))
     if kind == "rank-0":
         offset = tuple(draw(small_rational) for _ in range(n))
-    if kind == "rank-0":
-        return AffineLattice(offset, (), ambient_dim=n)
+        return AffineLattice(offset, ())
     if kind == "index-2" or (kind == "coset" and draw(st.booleans())):
         return AffineLattice(offset, INDEX_TWO[n])
     return AffineLattice(offset, AffineLattice.standard(n).basis)

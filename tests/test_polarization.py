@@ -72,7 +72,8 @@ def test_translation_invariance():
     a = random_body(rng, 2)
     b = random_body(rng, 2)
     v = mixed_volume(BodySystem((a, b), STD[2]))
-    assert mixed_volume(BodySystem((a.translate((2, -1)), b), STD[2])) == v
+    shifted = hull([(x + 2, y - 1) for x, y in a.vertices])
+    assert mixed_volume(BodySystem((shifted, b), STD[2])) == v
 
 
 def test_monotone_nonnegative():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -190,6 +191,15 @@ def test_hilbert_requires_quotient_mode():
     space = bezout_space()
     with pytest.raises(DomainError):
         hilbert_function(space, ray_support(space, 1), 1)
+
+
+@pytest.mark.parametrize("k", [Q(1, 2), 1.5, True], ids=repr)
+def test_hilbert_function_rejects_a_k_that_is_not_an_int(k):
+    space = HorosphericalSpace.quotient(gl(2))
+    s = SupportSet(space, ((0, 0), (2, 0), (2, 1)))
+    assert [hilbert_function(space, s, j) for j in range(3)] == [1, 8, 27]
+    with pytest.raises(DomainError, match=r"k must be an int, got " + re.escape(repr(k))):
+        hilbert_function(space, s, k)
 
 
 def test_quotient_mode_requires_full_lattice():

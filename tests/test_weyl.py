@@ -65,13 +65,26 @@ def test_torus_factor_contributes_nothing():
 def test_polynomial_degree():
     for factors, torus in [((2,), 0), ((3,), 0), ((4,), 1), ((2, 2), 0)]:
         g = GroupDescriptor(factors, torus)
-        assert weyl_polynomial(g).degree() == g.num_positive_roots
-        assert g.num_positive_roots == (g.dim - g.rank) // 2
+        positive_roots = sum(n * (n - 1) // 2 for n in g.gl_factors)
+        assert weyl_polynomial(g).degree() == positive_roots
+        assert positive_roots == (g.dim - g.rank) // 2
 
 
 def test_non_dominant_rejected():
     with pytest.raises(DomainError):
         dim_irrep(GroupDescriptor((2,)), (0, 1))
+
+
+@pytest.mark.parametrize("weight, shown", [((Q(5, 2), 1), "5/2"),
+                                           ((2.9, 1), "6530219459687219/2251799813685248")])
+def test_non_integral_weight_rejected(weight, shown):
+    with pytest.raises(DomainError, match=rf"weight \({shown}, 1\) is not integral"):
+        dim_irrep(GroupDescriptor((2,)), weight)
+
+
+def test_weight_of_the_wrong_length_rejected():
+    with pytest.raises(DomainError, match="does not match group rank"):
+        dim_irrep(GroupDescriptor((2,), torus_rank=1), (1, 0))
 
 
 def test_face_validation():
@@ -102,11 +115,14 @@ def test_face_expand_and_coordinates():
 def test_face_membership():
     g = GroupDescriptor((3,))
     face = ChamberFace(g, ((1, 2),))
-    assert face.contains((4, 1, 1))
-    assert face.contains((1, 1, 1))           # boundary of the face
-    assert not face.relative_interior_contains((1, 1, 1))
-    assert face.relative_interior_contains((4, 1, 1))
-    assert not face.contains((1, 2, 2))       # not dominant
+    assert face.face_contains_coords(face.face_coordinates((4, 1, 1)))
+    assert face.face_contains_coords(face.face_coordinates((1, 1, 1)))  # boundary
+    assert not face.face_contains_coords(face.face_coordinates((1, 2, 2)))  # not dominant
+    with pytest.raises(DomainError):
+        face.face_coordinates((4, 2, 1))      # not constant on the block (2, 1)
+    chamber = ChamberFace.full_chamber(g)
+    assert chamber.face_contains_coords((4, 2, 1))
+    assert not chamber.face_contains_coords((1, 2, 2))
 
 
 def test_restricted_polynomial_evaluates_like_full():
