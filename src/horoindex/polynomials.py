@@ -1,21 +1,23 @@
 """Multivariate polynomials with exact rational coefficients.
 
 Terms are stored as {exponent tuple: coefficient}; zero coefficients are
-never stored.  Includes exact integration over rational polytopes via
-triangulation and the closed form for monomial integrals over the standard
-simplex, and `product_values`, which evaluates a product of integer affine
-forms at integer points without expanding it.
+never stored, and exponents must be nonnegative ints.  Includes exact
+integration over rational polytopes, by triangulation and, on each
+simplex, an integer Dirichlet moment of the coordinates at its vertices per
+monomial (see `integrate`), and `product_values`, which evaluates a product
+of integer affine forms at integer points without expanding it.  Neither
+expands a polynomial: `compose_affine` is on no query path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 from operator import mul
 
 from .errors import DomainError
+from .linalg import common_denominator
 from .polytopes import Polytope, _simplices
-from .linalg import vsub
 from .rationals import Q, ZERO
 
 
@@ -27,11 +29,15 @@ class Polynomial:
     def __post_init__(self):
         clean = {}
         for exp, coef in self.terms.items():
+            exp = tuple(exp)
+            if not all(isinstance(e, int) and e >= 0 for e in exp):
+                raise DomainError(f"polynomial term with exponents {list(exp)} and "
+                                  f"coefficient {coef}: exponents must be "
+                                  f"nonnegative integers")
+            if len(exp) != self.num_vars:
+                raise DomainError("exponent length does not match variable count")
             c = Q(coef)
             if c != 0:
-                exp = tuple(int(e) for e in exp)
-                if len(exp) != self.num_vars:
-                    raise DomainError("exponent length does not match variable count")
                 clean[exp] = c
         object.__setattr__(self, "terms", clean)
 
@@ -96,6 +102,9 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
+        if not isinstance(n, int) or n < 0:
+            raise DomainError(f"polynomial power {n!r}: the exponent must be a "
+                              f"nonnegative integer")
         result = Polynomial.constant(1, self.num_vars)
         base = self
         while n:
@@ -127,7 +136,9 @@ class Polynomial:
         """Substitute x_i = offset_i + sum_j matrix[i][j] y_j.
 
         matrix has one row per old variable; the result is a polynomial in
-        len(matrix[0]) new variables (0 rows/columns allowed).
+        len(matrix[0]) new variables (0 rows/columns allowed).  It expands
+        in Fractions; `integrate` does not use it, and the reference
+        integrator in the tests does.
         """
         new_vars = len(matrix[0]) if matrix and len(matrix) else 0
         if matrix and len(matrix) != self.num_vars:
@@ -171,13 +182,20 @@ def product_values(forms, points):
         yield value
 
 
-def _simplex_monomial_integral(exponents):
-    """Integral of prod t_i^{a_i} over the standard simplex {t >= 0, sum t <= 1}."""
-    m = len(exponents)
-    num = 1
-    for a in exponents:
-        num *= factorial(a)
-    return Q(num, factorial(m + sum(exponents)))
+def _dirichlet_moment(exp, columns):
+    """sum over a of a! [t^a] prod_k L_k(t)^exp[k], in ints, where
+    L_k(t) = sum_i columns[k][i] t_i and a! is the product of the a_i!."""
+    product = {(0,) * len(columns[0]): 1}
+    for k, e in enumerate(exp):
+        for _ in range(e):
+            step = {}
+            for a, x in product.items():
+                for i, w in enumerate(columns[k]):
+                    if w:
+                        key = a[:i] + (a[i] + 1,) + a[i + 1:]
+                        step[key] = step.get(key, 0) + x * w
+            product = step
+    return sum(x * prod(map(factorial, a)) for a, x in product.items())
 
 
 def integrate(poly: Polynomial, p: Polytope, lattice) -> "Q":
@@ -186,22 +204,33 @@ def integrate(poly: Polynomial, p: Polytope, lattice) -> "Q":
     volume 1.  For a 0-dimensional p this is poly evaluated at the point
     (the volume(point)=1 convention).
 
-    Each simplex's lattice normalization is taken in span coordinates (see
-    polytopes._simplices); poly is pulled back along the ambient map
-    x = v0 + E t, the columns of E being the simplex's edges.
+    Over a simplex of dimension d with vertices w_0..w_d, scaled to ints by
+    the common denominator s, a monomial x^e of degree D is the product of
+    D coordinate forms, and its integral is the Dirichlet moment
+
+        jac * M / (unit * s^D * (D + d)!),  M = sum_a a! [t^a] prod_k L_k(t)^e_k,
+
+    with L_k(t) = sum_i w_i[k] t_i and jac / unit the simplex's
+    d!-normalized lattice volume from polytopes._simplices (Baldoni,
+    Berline, De Loera, Koeppe and Vergne, How to integrate a polynomial
+    over a simplex, 2011).  The coefficients of each degree are scaled to
+    ints by their common denominator, the terms are summed in ints over all
+    simplices, and each degree makes one Fraction.
     """
     if poly.num_vars != p.ambient_dim:
         raise DomainError("polynomial/polytope dimension mismatch")
     if p.dim == 0:
         return poly(p.base)
+    degrees = {}
+    for exp, coef in poly.terms.items():
+        degrees.setdefault(sum(exp), []).append((exp, coef))
+    scale, unit, simplices = _simplices(p, lattice)
+    columns = [(tuple(zip(*vertices)), jac) for vertices, jac in simplices]
     total = ZERO
-    for simplex, jac in _simplices(p, lattice):
-        v0 = simplex[0]
-        edges = [vsub(v, v0) for v in simplex[1:]]
-        matrix = [tuple(e[i] for e in edges) for i in range(p.ambient_dim)]
-        g = poly.compose_affine(matrix, v0)
-        piece = ZERO
-        for exp, coef in g.terms.items():
-            piece += coef * _simplex_monomial_integral(exp)
-        total += jac * piece
+    for degree, terms in degrees.items():
+        den = common_denominator(c for _, c in terms)
+        ints = [(exp, int(c * den)) for exp, c in terms]
+        moment = sum(jac * c * _dirichlet_moment(exp, cols)
+                     for cols, jac in columns for exp, c in ints)
+        total += Q(moment, den * unit * scale ** degree * factorial(degree + p.dim))
     return total

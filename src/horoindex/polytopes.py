@@ -280,40 +280,46 @@ def _span_sublattice(p: Polytope, lattice: AffineLattice):
 
 
 def _simplices(p: Polytope, lattice: AffineLattice):
-    """Yield (simplex, jac) for each simplex of triangulation(p), where jac is
-    dim(p)! times the simplex's volume in units of the lattice cell on p's span.
+    """(scale, unit, [(vertices, jac), ...]) for the simplices of
+    triangulation(p): scale is the common denominator s of p's vertices,
+    each simplex's vertices are scaled by it to int tuples, and jac / unit
+    is dim(p)! times the simplex's volume in units of the lattice cell on
+    p's span.
 
     Both determinants are taken in span coordinates (the entries at
     span_pivots): span_basis is in RREF, so projecting onto the pivots is
     injective on the span and the ratio is the lattice-normalized volume.
-    Both are integer: the vertices are scaled by their common denominator
-    s, which multiplies each simplex's determinant by s^dim.
+    Both are integer: jac is the |det| of the scaled edges, s^dim times
+    that of the simplex, and unit is s^dim times the lattice cell's.
     """
     pivots = p.span_pivots
     cell = abs(det([[m[i] for i in pivots] for m in _span_sublattice(p, lattice)]))
     scale = common_denominator(x for v in p.vertices for x in v)
     ints = {v: scaled(v, scale) for v in p.vertices}
-    unit = cell * scale ** p.dim
+    out = []
     for simplex in triangulation(p):
-        w0 = ints[simplex[0]]
-        edges = [[ints[v][i] - w0[i] for i in pivots] for v in simplex[1:]]
-        yield simplex, Q(abs(det(edges)), unit)
+        w = [ints[v] for v in simplex]
+        w0 = w[0]
+        edges = [[wi[i] - w0[i] for i in pivots] for wi in w[1:]]
+        out.append((w, abs(det(edges))))
+    return scale, cell * scale ** p.dim, out
 
 
 def volume(p: Polytope, lattice: AffineLattice):
     """Volume of p in its affine span, normalized so a fundamental cell of
     (lattice direction) ∩ span has volume 1.
 
-    Works in span coordinates: one determinant per simplex over the
-    determinant of the lattice cell, both at p's span pivots.  A
-    0-dimensional polytope has volume 1 by convention; this is the base
-    case that makes degree-0 polarization and fiber integration come out
-    right.
+    Works in span coordinates: the integer determinants of the simplices
+    are summed and divided once by the determinant of the lattice cell,
+    both at p's span pivots.  A 0-dimensional polytope has volume 1 by
+    convention; this is the base case that makes degree-0 polarization
+    and fiber integration come out right.
     """
     k = p.dim
     if k == 0:
         return Q(1)
-    return sum((jac for _, jac in _simplices(p, lattice)), ZERO) / factorial(k)
+    _, unit, simplices = _simplices(p, lattice)
+    return Q(sum(jac for _, jac in simplices), unit * factorial(k))
 
 
 def lattice_points(p: Polytope, lattice: AffineLattice):

@@ -3,8 +3,9 @@
 All arithmetic in the library is exact.  Rational values (points, weights,
 volumes, integrals, polynomial coefficients) are fractions.Fraction, named
 Q throughout; the geometry kernel in `linalg` and `polytopes` scales them
-to Python ints once and computes on those, as does the Hilbert route.  The
-helpers below accept ints too, which carry numerator and denominator.
+to Python ints once and computes on those, as do the Hilbert route and
+the integral route (`polynomials.integrate`).  The helpers below accept
+ints too, which carry numerator and denominator.
 """
 
 from fractions import Fraction as Q

@@ -10,6 +10,9 @@ Lambda(H), measure normalized to Lambda(H)).
 The index of a system of supports is computed by three independent routes:
 
 * mixed integral of the top Weyl component over the moment polytopes,
+  taken in ints: each monomial's integral over each simplex of a subset
+  sum is an integer Dirichlet moment at the simplex's scaled vertices, and
+  each degree makes one Fraction (`polynomials.integrate`),
 * mixed volume of the Gelfand-Tsetlin lifts of the moment polytopes, taken
   as the polarization of D -> vol(lift(D)) over the moment polytopes,
 * (on diagonals, quotient mode) the leading coefficient of the Hilbert

@@ -274,3 +274,22 @@ def test_parser_survives_a_bad_flag(tmp_path, capsys):
     fresh = subprocess.run([sys.executable, "-m", "horoindex.cli", "index", path], env=env,
                            capture_output=True, text=True, timeout=120)
     assert (code, out) == (fresh.returncode, fresh.stdout)
+
+
+def test_mixed_integral_rejects_a_negative_exponent_fast(tmp_path):
+    """A negative exponent is named and rejected with exit 3 at parse time,
+    in a fresh process bounded by a timeout: powering by it never ends, and
+    integrating it would return a number."""
+    obj = {"polynomial": {"terms": [{"exp": [-1, 1], "coef": 1}]},
+           "bodies": [TRIANGLE, TRIANGLE]}
+    path = write(tmp_path, "bodies.json", obj)
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "horoindex.cli", "mixed-integral", path],
+                         env=env, capture_output=True, text=True, timeout=30)
+    assert run.returncode == 3
+    assert run.stdout == ""
+    error = json.loads(run.stderr)
+    assert error["error"] == "validation"
+    assert "[-1, 1]" in error["detail"] and "nonnegative" in error["detail"]

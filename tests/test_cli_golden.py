@@ -4,7 +4,12 @@ Each case runs one verb in-process and compares its stdout with the text in
 `tests/golden/<case>.out`.  The problem files sit next to them: a GL(3) full
 chamber, GL(2) x T^1 and a general-mode wall face of GL(3) with a
 non-standard Lambda(H).  The `gc` cases print the Gelfand-Tsetlin polytope
-of a regular and of a wall weight of GL(3).  To capture the expected text again, run
+of a regular and of a wall weight of GL(3).  The `mixed-volume` and
+`mixed-integral` cases take body systems with rational vertices and a
+segment among the bodies: on the standard lattice of the plane, on an
+index-2 lattice of the plane, and on a rank-2 lattice in 3-space, whose
+bodies are lower-dimensional there; each polynomial has several
+monomials.  To capture the expected text again, run
 `PYTHONPATH=src python tests/test_cli_golden.py --write`; a change of output
 is then a reviewed diff of the `.out` files.
 """
@@ -37,6 +42,12 @@ CASES = {
     "gl3-newton": ["newton", "gl3.json"],
     "gc-n3-regular": ["gc", "--n", "3", "--weight", "2,1,0"],
     "gc-n3-wall": ["gc", "--n", "3", "--weight", "2,2,0"],
+    "mixed-volume-rational": ["mixed-volume", "volume_rational.json"],
+    "mixed-volume-index2": ["mixed-volume", "volume_index2.json"],
+    "mixed-volume-plane": ["mixed-volume", "volume_plane.json"],
+    "mixed-integral-rational": ["mixed-integral", "integral_rational.json"],
+    "mixed-integral-index2": ["mixed-integral", "integral_index2.json"],
+    "mixed-integral-plane": ["mixed-integral", "integral_plane.json"],
 }
 
 

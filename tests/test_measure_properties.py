@@ -1,23 +1,23 @@
 """Property tests: lattice-point enumeration and lattice-normalized measures
 against the direct algorithms they replace.
 
-The oracles below work in ambient coordinates: `scan_lattice_points` maps
-every bounding-box candidate to an ambient point and tests it against p,
-and `solve_volume`/`solve_integral` express each simplex edge in a basis of
-the span sublattice by solving a linear system.  The library works in
-lattice and span coordinates instead; both must give the same answers.
+The oracles work in ambient coordinates: `scan_lattice_points` maps every
+bounding-box candidate to an ambient point and tests it against p, and
+`solve_volume`/`expanded_integral` (in `expanded_integral.py`) express each
+simplex edge in a basis of the span sublattice by solving a linear system,
+the integral expanding the polynomial on each simplex in `Fraction`s.  The
+library works in lattice and span coordinates, and integrates each
+monomial by an integer Dirichlet moment at the vertices; both must give the
+same answers.
 """
 
 import itertools
-from math import factorial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expanded_integral import expanded_integral, solve_volume
 from horoindex import AffineLattice, Polynomial, Q, hull, integrate, lattice_points, volume
-from horoindex.linalg import det, solve, vsub
-from horoindex.polynomials import _simplex_monomial_integral
-from horoindex.polytopes import _span_sublattice, triangulation
 from horoindex.rationals import rat_ceil, rat_floor
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
@@ -38,33 +38,6 @@ def scan_lattice_points(p, lattice):
         ranges.append(range(rat_ceil(min(vals)), rat_floor(max(vals)) + 1))
     points = (lattice.point_at(combo) for combo in itertools.product(*ranges))
     return sorted(pt for pt in points if p.contains(pt))
-
-
-def _solved_jacobians(p, lattice):
-    sub = _span_sublattice(p, lattice)
-    cols = [tuple(m[i] for m in sub) for i in range(p.ambient_dim)]
-    for simplex in triangulation(p):
-        edges = [vsub(v, simplex[0]) for v in simplex[1:]]
-        yield simplex, edges, abs(det([solve(cols, e) for e in edges]))
-
-
-def solve_volume(p, lattice):
-    if p.dim == 0:
-        return Q(1)
-    total = sum((jac for _, _, jac in _solved_jacobians(p, lattice)), Q(0))
-    return total / factorial(p.dim)
-
-
-def solve_integral(poly, p, lattice):
-    if p.dim == 0:
-        return poly(p.base)
-    total = Q(0)
-    for simplex, edges, jac in _solved_jacobians(p, lattice):
-        matrix = [tuple(e[i] for e in edges) for i in range(p.ambient_dim)]
-        g = poly.compose_affine(matrix, simplex[0])
-        total += jac * sum((c * _simplex_monomial_integral(e) for e, c in g.terms.items()),
-                           Q(0))
-    return total
 
 
 small_rational = st.builds(Q, st.integers(-3, 3), st.sampled_from([1, 1, 2]))
@@ -119,10 +92,11 @@ def lattices_and_polytopes(draw):
 
 
 @st.composite
-def polynomials(draw, n):
-    """A polynomial of degree at most 2 in n variables, with small terms."""
-    exps = [e for e in itertools.product(range(3), repeat=n) if sum(e) <= 2]
-    chosen = draw(st.lists(st.sampled_from(exps), min_size=1, max_size=4, unique=True))
+def polynomials(draw, n, degree=2, terms=4):
+    """A polynomial of degree at most `degree` in n variables, with up to
+    `terms` small terms."""
+    exps = [e for e in itertools.product(range(degree + 1), repeat=n) if sum(e) <= degree]
+    chosen = draw(st.lists(st.sampled_from(exps), min_size=1, max_size=terms, unique=True))
     return Polynomial({e: draw(small_rational) for e in chosen}, n)
 
 
@@ -145,4 +119,15 @@ def test_volume_matches_the_per_edge_solve(case):
 def test_integrate_matches_the_per_edge_solve(data):
     lattice, p = data.draw(lattices_and_polytopes())
     poly = data.draw(polynomials(lattice.ambient_dim))
-    assert integrate(poly, p, lattice) == solve_integral(poly, p, lattice)
+    assert integrate(poly, p, lattice) == expanded_integral(poly, p, lattice)
+
+
+@PROPERTY
+@given(st.data())
+def test_integrate_matches_the_expansion_to_degree_four(data):
+    """Mixed monomials of every degree up to 4 with rational coefficients,
+    on polytopes of dimension 0-3 with rational vertices, on every lattice
+    kind above."""
+    lattice, p = data.draw(lattices_and_polytopes())
+    poly = data.draw(polynomials(lattice.ambient_dim, degree=4, terms=6))
+    assert integrate(poly, p, lattice) == expanded_integral(poly, p, lattice)

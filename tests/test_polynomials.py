@@ -1,9 +1,16 @@
+import contextlib
+import io
 import random
+from pathlib import Path
 
 import pytest
 
+from expanded_integral import expanded_integral
 from expanded_weyl import top_component
-from horoindex import AffineLattice, DomainError, Polynomial, Q, hull, integrate, volume
+from horoindex import (AffineLattice, ChamberFace, DomainError, GroupDescriptor,
+                       HorosphericalSpace, Polynomial, Q, SupportSet, hull, index_report,
+                       integrate, restricted_weyl, spaces, volume)
+from horoindex.cli import main
 
 STD2 = AffineLattice.standard(2)
 STD3 = AffineLattice.standard(3)
@@ -127,3 +134,83 @@ def test_dimension_mismatch_rejected():
     tri = hull([(0, 0), (1, 0), (0, 1)])
     with pytest.raises(DomainError):
         integrate(Polynomial.variable(0, 3), tri, STD2)
+
+
+@pytest.mark.parametrize("exp", [(-1, 1), (1.5, 0), (Q(1), 0)])
+def test_exponents_must_be_nonnegative_ints(exp):
+    with pytest.raises(DomainError, match="nonnegative integers"):
+        Polynomial({exp: 1}, 2)
+
+
+@pytest.mark.parametrize("n", [-1, 1.5])
+def test_power_rejects_a_bad_exponent(n):
+    with pytest.raises(DomainError, match="nonnegative integer"):
+        Polynomial.variable(0, 1) ** n
+
+
+ROUTE_FACES = [ChamberFace(GroupDescriptor((3,)), (blocks,))
+               for blocks in [(1, 1, 1), (1, 2), (2, 1), (3,)]]
+ROUTE_FACES += [ChamberFace(GroupDescriptor((2,), 1), (blocks,)) for blocks in [(1, 1), (2,)]]
+ROUTE_FACES.append(ChamberFace(GroupDescriptor((4,)), ((1, 1, 2),)))
+
+
+def random_integer_polytope(rng, n, m):
+    """The hull of an integer origin and 2-5 integer combinations of m
+    random integer directions in Z^n: dimension m or less."""
+    origin = tuple(rng.randint(-2, 3) for _ in range(n))
+    directions = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(m)]
+    points = [origin]
+    for _ in range(rng.randint(2, 5)):
+        coeffs = [rng.randint(0, 2) for _ in range(m)]
+        points.append(tuple(o + sum(c * d[i] for c, d in zip(coeffs, directions))
+                            for i, o in enumerate(origin)))
+    return hull(points)
+
+
+@pytest.mark.parametrize("face", ROUTE_FACES, ids=lambda f: f"{f.group.gl_factors}"
+                         f"T{f.group.torus_rank}{f.blocks}")
+def test_integral_route_phi_matches_the_expansion(face):
+    """The integral route's integrand, phi from restricted_weyl, integrated
+    over random integer polytopes of every dimension up to the face's."""
+    _, phi = restricted_weyl(face)
+    lattice = AffineLattice.standard(face.dim)
+    rng = random.Random(repr(face))
+    dims = set()
+    for m in range(face.dim + 1):
+        for _ in range(4):
+            p = random_integer_polytope(rng, face.dim, m)
+            dims.add(p.dim)
+            assert integrate(phi, p, lattice) == expanded_integral(phi, p, lattice)
+    assert dims == set(range(face.dim + 1))
+
+
+def test_queries_expand_no_polynomial(monkeypatch):
+    """`compose_affine` is off the query path: a GL(3) wall-face index
+    report (four supports of 2-3 points, as in the gl3-lift benchmark) and
+    a `mixed-integral` CLI run integrate without calling it."""
+    calls = {"compose_affine": 0, "integrate": 0}
+    compose, route_integrate = Polynomial.compose_affine, spaces.integrate
+
+    def counting_compose(self, *args):
+        calls["compose_affine"] += 1
+        return compose(self, *args)
+
+    def counting_integrate(*args):
+        calls["integrate"] += 1
+        return route_integrate(*args)
+
+    monkeypatch.setattr(Polynomial, "compose_affine", counting_compose)
+    monkeypatch.setattr(spaces, "integrate", counting_integrate)
+    space = HorosphericalSpace.quotient(ChamberFace(GroupDescriptor((3,)), ((1, 2),)))
+    supports = [SupportSet(space, pts) for pts in [
+        ((0, 0), (2, 1)), ((1, 0), (2, 2), (0, 0)), ((2, 0), (1, 1)), ((0, 0), (2, 2), (1, 0))]]
+    spaces.memo_clear()
+    report = index_report(space, supports)
+    assert report.integral_route == report.index and calls["integrate"] > 0
+    golden = Path(__file__).resolve().parent / "golden" / "integral_rational.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["mixed-integral", str(golden)]) == 0
+    assert calls["compose_affine"] == 0
+    tri = hull([(0, 0), (1, 0), (0, 1)])
+    expanded_integral(Polynomial.variable(0, 2), tri, STD2)
+    assert calls["compose_affine"] == 1  # the counter sees the expansion
