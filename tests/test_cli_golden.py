@@ -9,7 +9,13 @@ of a regular and of a wall weight of GL(3).  The `mixed-volume` and
 segment among the bodies: on the standard lattice of the plane, on an
 index-2 lattice of the plane, and on a rank-2 lattice in 3-space, whose
 bodies are lower-dimensional there; each polynomial has several
-monomials.  To capture the expected text again, run
+monomials.  The 0-D and 1-D cases pin the point and segment conventions:
+`gc` of GL(2) on a regular weight (a segment of volume 2) and on a wall
+weight (a point of volume 1); `mixed-volume` and `mixed-integral` of a
+rational segment on the rank-1 lattice spanned by (2, 1); `mixed-integral`
+over two rational points on the rank-0 lattice of the plane, where each
+subset sum is a point; and `moment` and `index` of the README's
+general-mode Bezout problem, whose moment polytopes are segments.  To capture the expected text again, run
 `PYTHONPATH=src python tests/test_cli_golden.py --write`; a change of output
 is then a reviewed diff of the `.out` files.
 """
@@ -42,12 +48,19 @@ CASES = {
     "gl3-newton": ["newton", "gl3.json"],
     "gc-n3-regular": ["gc", "--n", "3", "--weight", "2,1,0"],
     "gc-n3-wall": ["gc", "--n", "3", "--weight", "2,2,0"],
+    "gc-n2-segment": ["gc", "--n", "2", "--weight", "3,1"],
+    "gc-n2-point": ["gc", "--n", "2", "--weight", "2,2"],
+    "bezout-moment": ["moment", "bezout_general.json"],
+    "bezout-index": ["index", "bezout_general.json"],
     "mixed-volume-rational": ["mixed-volume", "volume_rational.json"],
     "mixed-volume-index2": ["mixed-volume", "volume_index2.json"],
     "mixed-volume-plane": ["mixed-volume", "volume_plane.json"],
     "mixed-integral-rational": ["mixed-integral", "integral_rational.json"],
     "mixed-integral-index2": ["mixed-integral", "integral_index2.json"],
     "mixed-integral-plane": ["mixed-integral", "integral_plane.json"],
+    "mixed-volume-segment": ["mixed-volume", "volume_segment.json"],
+    "mixed-integral-segment": ["mixed-integral", "integral_segment.json"],
+    "mixed-integral-points": ["mixed-integral", "integral_points.json"],
 }
 
 
