@@ -182,10 +182,11 @@ def product_values(forms, points):
         yield value
 
 
-def _dirichlet_moment(exp, columns):
+def _dirichlet_moment(exp, columns, size):
     """sum over a of a! [t^a] prod_k L_k(t)^exp[k], in ints, where
-    L_k(t) = sum_i columns[k][i] t_i and a! is the product of the a_i!."""
-    product = {(0,) * len(columns[0]): 1}
+    L_k(t) = sum_i columns[k][i] t_i over t_0..t_{size-1} and a! is the
+    product of the a_i!."""
+    product = {(0,) * size: 1}
     for k, e in enumerate(exp):
         for _ in range(e):
             step = {}
@@ -201,8 +202,7 @@ def _dirichlet_moment(exp, columns):
 def integrate(poly: Polynomial, p: Polytope, lattice) -> "Q":
     """Exact integral of poly over p, with the measure on p's affine span
     normalized so a fundamental cell of (lattice direction) ∩ span has
-    volume 1.  For a 0-dimensional p this is poly evaluated at the point
-    (the volume(point)=1 convention).
+    volume 1.
 
     Over a simplex of dimension d with vertices w_0..w_d, scaled to ints by
     the common denominator s, a monomial x^e of degree D is the product of
@@ -215,12 +215,12 @@ def integrate(poly: Polynomial, p: Polytope, lattice) -> "Q":
     Berline, De Loera, Koeppe and Vergne, How to integrate a polynomial
     over a simplex, 2011).  The coefficients of each degree are scaled to
     ints by their common denominator, the terms are summed in ints over all
-    simplices, and each degree makes one Fraction.
+    simplices, and each degree makes one Fraction.  A point's fan is the
+    one simplex (0,), with jac = unit = 1 and M = D! w_0^e, so the integral
+    over a point is poly there: the volume(point) = 1 convention.
     """
     if poly.num_vars != p.ambient_dim:
         raise DomainError("polynomial/polytope dimension mismatch")
-    if p.dim == 0:
-        return poly(p.base)
     degrees = {}
     for exp, coef in poly.terms.items():
         degrees.setdefault(sum(exp), []).append((exp, coef))
@@ -230,7 +230,7 @@ def integrate(poly: Polynomial, p: Polytope, lattice) -> "Q":
     for degree, terms in degrees.items():
         den = common_denominator(c for _, c in terms)
         ints = [(exp, int(c * den)) for exp, c in terms]
-        moment = sum(jac * c * _dirichlet_moment(exp, cols)
+        moment = sum(jac * c * _dirichlet_moment(exp, cols, p.dim + 1)
                      for cols, jac in columns for exp, c in ints)
         total += Q(moment, den * unit * scale ** degree * factorial(degree + p.dim))
     return total

@@ -1,7 +1,7 @@
 """Exact rational convex polytopes.
 
 A Polytope stores its extreme vertices, a basis of the direction space of
-its affine span, and a facet description valid in span coordinates.
+its affine span, a facet description in span coordinates and a fan.
 Degenerate (lower-dimensional) polytopes are first class: every volume or
 integral is taken relative to the affine span, normalized to a caller-chosen
 lattice.
@@ -10,7 +10,8 @@ The hull is computed by an exact incremental (beneath-beyond) algorithm on
 triangulated boundary facets; dimensions here are small enough that
 asymptotics are irrelevant, and determinism matters more: points are always
 processed in lexicographic order and triangulations fan out from the
-lexicographically smallest vertex.
+lexicographically smallest vertex, by vertex index, the same way in every
+dimension: volumes and integrals need no low-dimensional case.
 
 Vertices, span bases, volumes and integrals are rationals; the kernel runs
 on ints.  `hull` scales its points once by their common denominator, then
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 from operator import mul
 
@@ -45,9 +46,7 @@ class Polytope:
     span_basis: tuple          # rref basis of the direction space (rows)
     span_pivots: tuple         # pivot columns of span_basis
     facets: tuple              # ((integer normal, integer offset), ...) in span coords
-    boundary_simplices: tuple = field(default=(), repr=False)
-    # each entry: (vertex index tuple, integer normal, integer offset) in span
-    # coords scaled by the vertices' common denominator
+    fan: tuple                 # triangulation: (dim+1)-tuples of vertex indices from 0
 
     @property
     def ambient_dim(self) -> int:
@@ -101,13 +100,13 @@ def _as_points(points):
 
 
 def _hull_core(coords):
-    """Incremental hull of full-dimensional integer coords (dim k >= 2,
+    """Incremental hull of full-dimensional integer coords (dim k >= 1,
     affine rank k).
 
     Returns (extreme indices sorted, merged facets, simplicial facets), where
     merged facets are (normal, offset, vertex indices) and simplicial facets
     (index tuple, normal, offset), each normal primitive and each plane
-    n.x <= b on the hull.
+    n.x <= b on the hull.  In 1-D a facet is a point, with normal +-(1,).
     """
     k = len(coords[0])
     npts = len(coords)
@@ -131,7 +130,7 @@ def _hull_core(coords):
 
     def plane(verts):
         q0 = coords[verts[0]]
-        n = normal_vector([vsub(coords[i], q0) for i in verts[1:]])
+        n = normal_vector([vsub(coords[i], q0) for i in verts[1:]]) if k > 1 else (1,)
         if n is None:
             raise DomainError("degenerate facet hyperplane")
         b = sum(map(mul, n, q0))
@@ -197,22 +196,9 @@ def hull(points) -> Polytope:
 
     if k == 0:
         return Polytope(vertices=(pts[0],), span_basis=(), span_pivots=(),
-                        facets=(), boundary_simplices=())
+                        facets=(), fan=((0,),))
 
-    span_basis = tuple(span_basis)
     coords = [tuple(p[j] - base[j] for j in pivots) for p in ints]
-
-    if k == 1:
-        lo = min(range(len(pts)), key=lambda i: coords[i][0])
-        hi = max(range(len(pts)), key=lambda i: coords[i][0])
-        verts = tuple(sorted({pts[lo], pts[hi]}))
-        nmax = primitive((scale, coords[hi][0]))
-        nmin = primitive((-scale, -coords[lo][0]))
-        facets = tuple(sorted([((nmax[0],), nmax[1]), ((nmin[0],), nmin[1])]))
-        return Polytope(vertices=verts, span_basis=span_basis,
-                        span_pivots=tuple(pivots), facets=facets,
-                        boundary_simplices=((0,), (1,)))
-
     extreme, merged, simplices = _hull_core(coords)
     # A point that was extreme when it was added can end up inside a facet
     # or an edge of the final hull, still a corner of boundary simplices.
@@ -227,10 +213,11 @@ def hull(points) -> Polytope:
 
     # n.(scale c) <= b is (scale n).c <= b in span coordinates c
     planes = sorted(primitive(tuple(scale * a for a in n) + (b,)) for n, b, _ in merged)
-    return Polytope(vertices=tuple(pts), span_basis=span_basis,
+    # the apex, vertex 0, is at span coordinates 0: facets through it have b = 0
+    return Polytope(vertices=tuple(pts), span_basis=tuple(span_basis),
                     span_pivots=tuple(pivots),
                     facets=tuple((key[:-1], key[-1]) for key in planes),
-                    boundary_simplices=tuple(simplices))
+                    fan=tuple((0,) + verts for verts, _, b in simplices if b != 0))
 
 
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
@@ -245,8 +232,6 @@ def dilate(p: Polytope, k) -> Polytope:
     k = Q(k)
     if k < 0:
         raise DomainError("dilation factor must be nonnegative")
-    if k == 0:
-        return hull([(0,) * p.ambient_dim])
     return hull([vscale(k, v) for v in p.vertices])
 
 
@@ -256,18 +241,7 @@ def triangulation(p: Polytope):
     Returns a tuple of simplices, each a (dim+1)-tuple of ambient vertices.
     The decomposition is deterministic and covers p exactly.
     """
-    k = p.dim
-    if k == 0:
-        return ((p.base,),)
-    if k == 1:
-        return (tuple(p.vertices),)
-    apex = p.base
-    out = []
-    for verts, n, b in p.boundary_simplices:
-        if b == 0:  # the facet passes through the apex, where span coordinates are 0
-            continue
-        out.append((apex,) + tuple(p.vertices[i] for i in verts))
-    return tuple(out)
+    return tuple(tuple(p.vertices[i] for i in simplex) for simplex in p.fan)
 
 
 def _span_sublattice(p: Polytope, lattice: AffineLattice):
@@ -280,28 +254,26 @@ def _span_sublattice(p: Polytope, lattice: AffineLattice):
 
 
 def _simplices(p: Polytope, lattice: AffineLattice):
-    """(scale, unit, [(vertices, jac), ...]) for the simplices of
-    triangulation(p): scale is the common denominator s of p's vertices,
-    each simplex's vertices are scaled by it to int tuples, and jac / unit
-    is dim(p)! times the simplex's volume in units of the lattice cell on
-    p's span.
+    """(scale, unit, [(vertices, jac), ...]) for the simplices of p.fan:
+    scale is the common denominator s of p's vertices, which are scaled by
+    it to int tuples once and looked up by index, as are their edges from
+    the apex, vertex 0, where every simplex starts; jac / unit is dim(p)!
+    times the simplex's volume in units of the lattice cell on p's span.
 
     Both determinants are taken in span coordinates (the entries at
     span_pivots): span_basis is in RREF, so projecting onto the pivots is
     injective on the span and the ratio is the lattice-normalized volume.
     Both are integer: jac is the |det| of the scaled edges, s^dim times
-    that of the simplex, and unit is s^dim times the lattice cell's.
+    that of the simplex, and unit is s^dim times the lattice cell's.  For a
+    point both are the 0x0 determinant, 1.
     """
     pivots = p.span_pivots
     cell = abs(det([[m[i] for i in pivots] for m in _span_sublattice(p, lattice)]))
     scale = common_denominator(x for v in p.vertices for x in v)
-    ints = {v: scaled(v, scale) for v in p.vertices}
-    out = []
-    for simplex in triangulation(p):
-        w = [ints[v] for v in simplex]
-        w0 = w[0]
-        edges = [[wi[i] - w0[i] for i in pivots] for wi in w[1:]]
-        out.append((w, abs(det(edges))))
+    ints = [scaled(v, scale) for v in p.vertices]
+    edges = [[w[i] - ints[0][i] for i in pivots] for w in ints]
+    out = [([ints[i] for i in simplex], abs(det([edges[i] for i in simplex[1:]])))
+           for simplex in p.fan]
     return scale, cell * scale ** p.dim, out
 
 
@@ -311,15 +283,12 @@ def volume(p: Polytope, lattice: AffineLattice):
 
     Works in span coordinates: the integer determinants of the simplices
     are summed and divided once by the determinant of the lattice cell,
-    both at p's span pivots.  A 0-dimensional polytope has volume 1 by
-    convention; this is the base case that makes degree-0 polarization
-    and fiber integration come out right.
+    both at p's span pivots.  A point has volume 1, the convention that
+    makes degree-0 polarization and fiber integration come out right: it
+    falls out of its fan ((0,),), as a 0x0 determinant is 1 and 0! = 1.
     """
-    k = p.dim
-    if k == 0:
-        return Q(1)
     _, unit, simplices = _simplices(p, lattice)
-    return Q(sum(jac for _, jac in simplices), unit * factorial(k))
+    return Q(sum(jac for _, jac in simplices), unit * factorial(p.dim))
 
 
 def lattice_points(p: Polytope, lattice: AffineLattice):
