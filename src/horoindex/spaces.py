@@ -35,9 +35,10 @@ from math import comb, factorial
 from .errors import DomainError, RouteDisagreementError, ValidationError
 from .gelfand_tsetlin import free_pattern_entries, newton_lift
 from .lattices import AffineLattice
+from .linalg import vscale
 from .polarization import polarize
 from .polynomials import integrate, product_values
-from .polytopes import Polytope, dilate, hull, lattice_points, volume
+from .polytopes import Polytope, hull, lattice_points, volume
 from .rationals import Q, format_point, format_rat, is_integral
 from .weyl import ChamberFace, dimension_forms, restricted_weyl, space_dims
 
@@ -269,7 +270,7 @@ def index_via_lift(space: HorosphericalSpace, supports):
 def hilbert_function(space: HorosphericalSpace, support: SupportSet, k: int) -> int:
     """dim of the completion of the k-th power: the sum of irreducible
     dimensions over the face-lattice points of the k-fold dilated moment
-    polytope.  Quotient mode only.
+    polytope, the hull of the dilated weights.  Quotient mode only.
 
     Every point is an int tuple and every dimension the int product of the
     face's `dimension_forms` there, divided by their divisor; a remainder
@@ -277,12 +278,14 @@ def hilbert_function(space: HorosphericalSpace, support: SupportSet, k: int) -> 
     """
     if space.mode != QUOTIENT_MODE:
         raise DomainError("the Hilbert function is defined for quotient mode only")
+    if support.space != space:
+        raise DomainError("support belongs to a different space")
     if type(k) is not int:
         raise DomainError(f"Hilbert function argument k must be an int, got {k!r}")
     if k < 0:
         raise DomainError("Hilbert function argument must be nonnegative")
     forms, divisor = dimension_forms(space.face)
-    points = lattice_points(dilate(moment_polytope(support), k),
+    points = lattice_points(hull([vscale(k, w) for w in support.weights]),
                             AffineLattice.standard(space.face.dim))
     total = 0
     for pt, value in zip(points, product_values(forms, points)):

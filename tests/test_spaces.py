@@ -193,6 +193,19 @@ def test_hilbert_requires_quotient_mode():
         hilbert_function(space, ray_support(space, 1), 1)
 
 
+@pytest.mark.parametrize("weights", [((0, 0), (1, 0), (0, 1)), ((0, 0), (1, 0), (1, 1))],
+                         ids=["not-dominant-in-gl2", "dominant-in-both"])
+def test_hilbert_function_rejects_a_support_from_another_space(weights):
+    torus, gl2 = torus_space(2), HorosphericalSpace.quotient(gl(2))
+    s = SupportSet(torus, weights)
+    with pytest.raises(DomainError, match="support belongs to a different space"):
+        hilbert_function(gl2, s, 1)
+    with pytest.raises(DomainError, match="support belongs to a different space"):
+        self_index_via_hilbert(gl2, s)
+    if weights[-1] == (1, 1):
+        assert [hilbert_function(torus, s, k) for k in range(4)] == [1, 3, 6, 10]
+
+
 @pytest.mark.parametrize("k", [Q(1, 2), 1.5, True], ids=repr)
 def test_hilbert_function_rejects_a_k_that_is_not_an_int(k):
     space = HorosphericalSpace.quotient(gl(2))
