@@ -226,11 +226,14 @@ def _verify_battery(quick: bool):
     v2 = mixed_volume(BodySystem((bodies[1], bodies[0]), std2))
     yield ("mixed volume symmetry", v1 == v2, f"{v1} vs {v2}")
 
-    # route agreement on a GL(2) diagonal
+    # route agreement on a GL(2) diagonal, whose index is 6
     space = HorosphericalSpace.quotient(ChamberFace.full_chamber(GroupDescriptor((2,))))
     s = SupportSet(space, ((Q(0), Q(0)), (Q(2), Q(0)), (Q(2), Q(1))))
-    report = index_report(space, [s] * space.num_supports)
-    yield ("index routes agree on GL(2)", True, f"index={report.index}")
+    try:
+        index = index_report(space, [s] * space.num_supports).index
+        yield ("index routes agree on GL(2)", index == 6, f"index={index}")
+    except RouteDisagreementError as exc:
+        yield ("index routes agree on GL(2)", False, str(exc))
 
 
 def cmd_verify(args):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from horoindex.cli import main
+from horoindex.errors import RouteDisagreementError
 
 BEZOUT_PROBLEM = {
     "group": {"gl": [3], "torus": 0},
@@ -199,6 +200,17 @@ def test_verify_quick(capsys):
     code, out, _ = run_cli(["verify", "--quick"], capsys)
     assert code == 0
     assert "all checks passed" in out
+
+
+def test_verify_reports_a_route_disagreement_as_a_failure(monkeypatch, capsys):
+    def disagree(space, supports):
+        raise RouteDisagreementError("integral 6 != lift 5")
+
+    monkeypatch.setattr("horoindex.cli.index_report", disagree)
+    code, out, _ = run_cli(["verify", "--quick"], capsys)
+    assert code == 3
+    assert "FAIL index routes agree on GL(2)  (integral 6 != lift 5)" in out
+    assert out.endswith("1 failures\n")
 
 
 def test_exit_code_parse_error(tmp_path, capsys):
