@@ -12,11 +12,12 @@ entries each equal one of their two upper neighbours: a point is a vertex
 exactly when every block of entries linked by tight relations reaches the
 weight row (Pegel, Order 2018), and as rows are non-increasing, an entry
 strictly between its upper neighbours is linked to nothing above its row.
-So vertices copy weight entries and are integral for an integral weight.
+So vertices copy weight entries: they are int tuples for an int weight,
+and the vertices for the weight w / d are those for w divided by d.
 `gt_polytope` is the hull of those vertices, a plain `Polytope`; the
 inequalities themselves are never built.  Every weight is validated by one
-check, `_check_weight` (nonempty, non-increasing), and `gt_lattice_count`
-also insists on integral entries.
+check, `_check_weight` (nonempty, non-increasing; int entries stay ints),
+and `gt_lattice_count` also insists on integral entries.
 
 The map weight -> polytope is Minkowski-linear on the dominant cone, the
 number of integral patterns equals dim V_lambda, and the (span-relative)
@@ -36,7 +37,7 @@ import itertools
 from functools import lru_cache
 
 from .errors import DomainError
-from .polytopes import Polytope, hull
+from .polytopes import Polytope, _hull, hull
 from .rationals import Q, format_point, is_integral
 from .weyl import ChamberFace
 
@@ -51,7 +52,7 @@ def pattern_dim(n: int) -> int:
 
 
 def _check_weight(weight):
-    weight = tuple(Q(x) for x in weight)
+    weight = tuple(x if isinstance(x, int) else Q(x) for x in weight)
     if not weight:
         raise DomainError("a GL(n) weight needs n >= 1 entries")
     if any(weight[i] < weight[i + 1] for i in range(len(weight) - 1)):
@@ -60,7 +61,7 @@ def _check_weight(weight):
 
 
 def _gt_vertices(weight):
-    """Sorted vertices of GT(weight), for a dominant weight of rationals: each
+    """Sorted vertices of GT(weight), for a dominant weight: each
     entry of the next row is row[i] or row[i+1], so rows interlace."""
     def patterns(row):
         if len(row) == 1:
@@ -157,9 +158,9 @@ def newton_lift(face: ChamberFace, base: Polytope) -> Polytope:
     if base.ambient_dim != face.dim:
         raise DomainError("base polytope must live in face coordinates")
     points = []
-    for v in base.vertices:
+    for v in base.points:
         if not face.face_contains_coords(v):
-            raise DomainError(f"base vertex {format_point(v)} is not inside the face")
-        for w in fiber_vertices(face, v):
-            points.append(tuple(v) + tuple(w))
-    return hull(points)
+            vertex = format_point(Q(x, base.den) for x in v)
+            raise DomainError(f"base vertex {vertex} is not inside the face")
+        points += [v + w for w in fiber_vertices(face, v)]
+    return _hull(sorted(points), base.den)

@@ -6,7 +6,7 @@ live in dimension <= 10 or so, with at most a few hundred points, so the
 plain O(n^3) algorithms are the right tool.
 
 Every elimination runs on Python ints.  `common_denominator` and `scaled`
-turn rational points into integer ones; `bareiss` is the one Gauss-Jordan
+turn rational rows into integer ones; `bareiss` is the one Gauss-Jordan
 elimination, fraction-free (Bareiss 1968: every intermediate entry is a
 minor of the input, so each division is exact), and `primitive` divides
 out a gcd.  `rref`, `rank`, `solve` and `nullspace` scale each row to ints
@@ -23,16 +23,8 @@ from math import gcd, lcm
 from .rationals import Q, ZERO
 
 
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c, v):
-    return tuple(c * a for a in v)
 
 
 def common_denominator(values):

@@ -1,7 +1,9 @@
 """Exact rational convex polytopes.
 
-A Polytope stores its extreme vertices, a basis of the direction space of
-its affine span, a facet description in span coordinates and a fan.
+A Polytope stores its sorted extreme vertices times `den`, their least
+common denominator, as int tuples `points`; (den, points) is canonical and
+backs `==`, `hash` and the memo in `spaces`, and `vertices` reads it back
+as rationals.  It also stores its span basis, facets and fan.
 Degenerate (lower-dimensional) polytopes are first class: every volume or
 integral is taken relative to the affine span, normalized to a caller-chosen
 lattice.
@@ -13,10 +15,11 @@ processed in lexicographic order and triangulations fan out from the
 lexicographically smallest vertex, by vertex index, the same way in every
 dimension: volumes and integrals need no low-dimensional case.
 
-Vertices, span bases, volumes and integrals are rationals; the kernel runs
-on ints.  `hull` scales its points once by their common denominator, then
-finds the span, facet planes, visibility and extreme vertices by
-fraction-free elimination, and volumes take integer determinants.
+`hull` is the one place where rationals become ints: it rejects floats and
+scales its points once by their common denominator.  `_hull`, which
+`minkowski_sum`, `dilate` and `newton_lift` call on stored ints, finds the
+span, facet planes, visibility and extreme vertices by fraction-free
+elimination, and volumes take integer determinants.
 
 Lattice points are enumerated by slices in lattice coordinates: all span
 pivots but the last range over the bounding box, and the facet inequalities
@@ -30,27 +33,33 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, gcd, lcm
 from operator import mul
 
 from .errors import DomainError, check_length
 from .lattices import AffineLattice
 from .linalg import (bareiss, common_denominator, det, normal_vector,
-                     primitive, rref, scaled, vadd, vscale, vsub)
-from .rationals import Q, ZERO, is_integral, rat_ceil, rat_floor
+                     primitive, rref, scaled, vsub)
+from .rationals import Q, ZERO, is_integral
 
 
 @dataclass(frozen=True, eq=False)
 class Polytope:
-    vertices: tuple            # sorted tuple of ambient points (tuples of Q)
+    den: int                   # least common denominator of the vertices
+    points: tuple              # sorted vertices times den, as int tuples
     span_basis: tuple          # rref basis of the direction space (rows)
     span_pivots: tuple         # pivot columns of span_basis
     facets: tuple              # ((integer normal, integer offset), ...) in span coords
     fan: tuple                 # triangulation: (dim+1)-tuples of vertex indices from 0
 
     @property
+    def vertices(self):
+        """Sorted tuple of the vertices, as tuples of rationals."""
+        return tuple(tuple(Q(x, self.den) for x in p) for p in self.points)
+
+    @property
     def ambient_dim(self) -> int:
-        return len(self.vertices[0])
+        return len(self.points[0])
 
     @property
     def dim(self) -> int:
@@ -58,7 +67,7 @@ class Polytope:
 
     @property
     def base(self):
-        return self.vertices[0]
+        return tuple(Q(x, self.den) for x in self.points[0])
 
     def span_coordinates(self, point):
         """Coordinates of point in the affine span, or None if outside it."""
@@ -80,23 +89,14 @@ class Polytope:
         return all(sum(map(mul, n, coords)) <= b for n, b in self.facets)
 
     def __eq__(self, other):
-        return isinstance(other, Polytope) and self.vertices == other.vertices
+        return (isinstance(other, Polytope) and self.den == other.den
+                and self.points == other.points)
 
     def __hash__(self):
-        return hash(self.vertices)
+        return hash((self.den, self.points))
 
     def __repr__(self):
-        return f"Polytope(dim={self.dim}, vertices={len(self.vertices)})"
-
-
-def _as_points(points):
-    pts = sorted({tuple(Q(x) for x in p) for p in points})
-    if not pts:
-        raise DomainError("hull of an empty point set")
-    n = len(pts[0])
-    if any(len(p) != n for p in pts):
-        raise DomainError("points of unequal dimension")
-    return pts
+        return f"Polytope(dim={self.dim}, vertices={len(self.points)})"
 
 
 def _hull_core(coords):
@@ -185,45 +185,61 @@ def _hull_core(coords):
     return extreme, merged_facets, simplices
 
 
+def _rational(x):
+    if isinstance(x, float):
+        raise DomainError(f"hull coordinates must be ints or Fractions, not the float {x!r}")
+    return x if isinstance(x, (int, Q)) else Q(x)
+
+
 def hull(points) -> Polytope:
     """Convex hull with minimal vertex list and span-relative facet description."""
-    pts = _as_points(points)
-    scale = common_denominator(x for p in pts for x in p)
-    ints = [scaled(p, scale) for p in pts]
-    base = ints[0]
-    span_basis, pivots = rref([vsub(p, base) for p in ints[1:]])
-    k = len(pivots)
+    pts = {tuple(map(_rational, p)) for p in points}
+    if not pts:
+        raise DomainError("hull of an empty point set")
+    if len({len(p) for p in pts}) > 1:
+        raise DomainError("points of unequal dimension")
+    den = common_denominator(x for p in pts for x in p)
+    return _hull(sorted(scaled(p, den) for p in pts), den)
 
-    if k == 0:
-        return Polytope(vertices=(pts[0],), span_basis=(), span_pivots=(),
-                        facets=(), fan=((0,),))
 
-    coords = [tuple(p[j] - base[j] for j in pivots) for p in ints]
-    extreme, merged, simplices = _hull_core(coords)
-    # A point that was extreme when it was added can end up inside a facet
-    # or an edge of the final hull, still a corner of boundary simplices.
-    # Hulling the extreme points again drops it, so the triangulation that
-    # volumes and integrals run over has fewer pieces: on the first 30
-    # seed-0 gl3-lift problems this pass ran on 255 of the 703 hulls of
-    # dimension >= 2, and their boundary simplices fell from 9,205 to 8,810.
-    if len(extreme) < len(pts):
-        pts = [pts[i] for i in extreme]
-        coords = [coords[i] for i in extreme]
+def _hull(points, den) -> Polytope:
+    """Hull of the points p / den, for sorted distinct int tuples p and den > 0."""
+    base = points[0]
+    span_basis, pivots = rref([vsub(p, base) for p in points[1:]])
+    facets, fan = (), ((0,),)
+    if pivots:
+        coords = [tuple(p[j] - base[j] for j in pivots) for p in points]
         extreme, merged, simplices = _hull_core(coords)
-
-    # n.(scale c) <= b is (scale n).c <= b in span coordinates c
-    planes = sorted(primitive(tuple(scale * a for a in n) + (b,)) for n, b, _ in merged)
-    # the apex, vertex 0, is at span coordinates 0: facets through it have b = 0
-    return Polytope(vertices=tuple(pts), span_basis=tuple(span_basis),
-                    span_pivots=tuple(pivots),
-                    facets=tuple((key[:-1], key[-1]) for key in planes),
-                    fan=tuple((0,) + verts for verts, _, b in simplices if b != 0))
+        # A point that was extreme when it was added can end up inside a facet
+        # or an edge of the final hull, still a corner of boundary simplices.
+        # Hulling the extreme points again drops it, so the triangulation that
+        # volumes and integrals run over has fewer pieces: on the first 30
+        # seed-0 gl3-lift problems this pass ran on 255 of the 703 hulls of
+        # dimension >= 2, and their boundary simplices fell from 9,205 to 8,810.
+        if len(extreme) < len(points):
+            points = [points[i] for i in extreme]
+            coords = [coords[i] for i in extreme]
+            extreme, merged, simplices = _hull_core(coords)
+        # n.(den c) <= b is (den n).c <= b in span coordinates c
+        planes = sorted(primitive(tuple(den * a for a in n) + (b,)) for n, b, _ in merged)
+        facets = tuple((key[:-1], key[-1]) for key in planes)
+        # the apex, vertex 0, is at span coordinates 0: facets through it have b = 0
+        fan = tuple((0,) + verts for verts, _, b in simplices if b != 0)
+    # the denominators of the input need not survive in the vertices
+    g = gcd(den, *(x for p in points for x in p))
+    if g > 1:
+        den, points = den // g, [tuple(x // g for x in p) for p in points]
+    return Polytope(den=den, points=tuple(points), span_basis=tuple(span_basis),
+                    span_pivots=tuple(pivots), facets=facets, fan=fan)
 
 
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
     if p.ambient_dim != q.ambient_dim:
         raise DomainError("Minkowski sum of polytopes in different ambient spaces")
-    return hull([vadd(v, w) for v in p.vertices for w in q.vertices])
+    den = lcm(p.den, q.den)
+    a, b = den // p.den, den // q.den
+    return _hull(sorted({tuple(a * x + b * y for x, y in zip(v, w))
+                         for v in p.points for w in q.points}), den)
 
 
 def dilate(p: Polytope, k) -> Polytope:
@@ -232,7 +248,8 @@ def dilate(p: Polytope, k) -> Polytope:
     k = Q(k)
     if k < 0:
         raise DomainError("dilation factor must be nonnegative")
-    return hull([vscale(k, v) for v in p.vertices])
+    return _hull(sorted({tuple(k.numerator * x for x in v) for v in p.points}),
+                 k.denominator * p.den)
 
 
 def triangulation(p: Polytope):
@@ -241,7 +258,8 @@ def triangulation(p: Polytope):
     Returns a tuple of simplices, each a (dim+1)-tuple of ambient vertices.
     The decomposition is deterministic and covers p exactly.
     """
-    return tuple(tuple(p.vertices[i] for i in simplex) for simplex in p.fan)
+    vertices = p.vertices
+    return tuple(tuple(vertices[i] for i in simplex) for simplex in p.fan)
 
 
 def _span_sublattice(p: Polytope, lattice: AffineLattice):
@@ -255,9 +273,9 @@ def _span_sublattice(p: Polytope, lattice: AffineLattice):
 
 def _simplices(p: Polytope, lattice: AffineLattice):
     """(scale, unit, [(vertices, jac), ...]) for the simplices of p.fan:
-    scale is the common denominator s of p's vertices, which are scaled by
-    it to int tuples once and looked up by index, as are their edges from
-    the apex, vertex 0, where every simplex starts; jac / unit is dim(p)!
+    scale is p.den = s, and the simplex vertices are p.points, the
+    vertices times s, looked up by index, as are their edges from the
+    apex, vertex 0, where every simplex starts; jac / unit is dim(p)!
     times the simplex's volume in units of the lattice cell on p's span.
 
     Both determinants are taken in span coordinates (the entries at
@@ -269,12 +287,11 @@ def _simplices(p: Polytope, lattice: AffineLattice):
     """
     pivots = p.span_pivots
     cell = abs(det([[m[i] for i in pivots] for m in _span_sublattice(p, lattice)]))
-    scale = common_denominator(x for v in p.vertices for x in v)
-    ints = [scaled(v, scale) for v in p.vertices]
+    ints = p.points
     edges = [[w[i] - ints[0][i] for i in pivots] for w in ints]
     out = [([ints[i] for i in simplex], abs(det([edges[i] for i in simplex[1:]])))
            for simplex in p.fan]
-    return scale, cell * scale ** p.dim, out
+    return p.den, cell * p.den ** p.dim, out
 
 
 def volume(p: Polytope, lattice: AffineLattice):
@@ -303,13 +320,14 @@ def lattice_points(p: Polytope, lattice: AffineLattice):
     span, so the integer points found are the answer; otherwise only the
     points found are mapped back.  No candidate is tested for membership.
     """
+    vertices = p.vertices
     coords = []
-    for v in p.vertices:
+    for v in vertices:
         c = lattice.coordinates(v)
         if c is None:
             raise DomainError("polytope must lie in the affine span of the lattice")
         coords.append(c)
-    if coords == list(p.vertices):
+    if coords == list(vertices):
         return sorted(_integer_points(p))
     return sorted(map(lattice.point_at, _integer_points(hull(coords))))
 
@@ -326,17 +344,18 @@ def _integer_points(q: Polytope):
     always are when q is full-dimensional, as span_basis is then the
     identity.
     """
-    base, pivots, basis = q.base, q.span_pivots, q.span_basis
+    points, den, pivots, basis = q.points, q.den, q.span_pivots, q.span_basis
     if not pivots:
-        if all(is_integral(x) for x in base):
-            yield tuple(int(x) for x in base)
+        if all(x % den == 0 for x in points[0]):
+            yield tuple(x // den for x in points[0])
         return
-    boxes = [(rat_ceil(min(v[j] for v in q.vertices)),
-              rat_floor(max(v[j] for v in q.vertices))) for j in pivots]
-    # n.(x - base) <= b at the pivots, as n.x <= b + n.base; n.x is an
-    # integer, so the right side may be rounded down to one
-    bounds = [(n[:-1], n[-1], rat_floor(b + sum(a * base[j] for a, j in zip(n, pivots))))
-              for n, b in q.facets]
+    boxes = [(-(-min(v[j] for v in points) // den), max(v[j] for v in points) // den)
+             for j in pivots]
+    # n.(x - base) <= b at the pivots is n.x <= b + n.base, base = points[0] / den;
+    # n.x is an integer, so the right side may be rounded down to one
+    start = [points[0][j] for j in pivots]
+    bounds = [(n[:-1], n[-1], (den * b + sum(map(mul, n, start))) // den) for n, b in q.facets]
+    base = q.base
     full = len(pivots) == len(base)
     for prefix in itertools.product(*(range(lo, hi + 1) for lo, hi in boxes[:-1])):
         lo, hi = boxes[-1]

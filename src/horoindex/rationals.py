@@ -1,10 +1,10 @@
 """Exact rational scalars.
 
-All arithmetic in the library is exact.  Rational values (points, weights,
+All arithmetic in the library is exact.  Rational values (input points,
 volumes, integrals, polynomial coefficients) are fractions.Fraction, named
-Q throughout; the geometry kernel in `linalg` and `polytopes` scales them
-to Python ints once and computes on those, as do the Hilbert route and
-the integral route (`polynomials.integrate`).  The helpers below accept
+Q throughout.  Support weights are int tuples, and a `Polytope` stores its
+vertices as ints over one denominator, scaled once in `polytopes.hull`;
+the kernel and the three routes compute on ints.  The helpers below accept
 ints too, which carry numerator and denominator.
 """
 
@@ -12,14 +12,6 @@ from fractions import Fraction as Q
 
 
 ZERO = Q(0)
-
-
-def rat_floor(q):
-    return q.numerator // q.denominator
-
-
-def rat_ceil(q):
-    return -((-q.numerator) // q.denominator)
 
 
 def is_integral(q) -> bool:

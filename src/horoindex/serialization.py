@@ -12,8 +12,7 @@ from .polarization import BodySystem
 from .polynomials import Polynomial
 from .polytopes import Polytope, hull
 from .rationals import Q, format_rat
-from .spaces import (GENERAL_MODE, QUOTIENT_MODE, HorosphericalSpace,
-                     SupportSet)
+from .spaces import QUOTIENT_MODE, HorosphericalSpace, SupportSet
 from .weyl import ChamberFace, GroupDescriptor
 
 
@@ -146,8 +145,6 @@ def problem_from_json(obj):
     group = group_from_json(obj.get("group", {}))
     face = face_from_json(group, obj.get("face", {}))
     mode = obj.get("mode", QUOTIENT_MODE)
-    if mode not in (QUOTIENT_MODE, GENERAL_MODE):
-        raise DomainError(f"unknown mode {mode!r}")
     if "lambda_H" in obj:
         lam = lattice_from_json(obj["lambda_H"])
     else:

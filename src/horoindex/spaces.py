@@ -22,8 +22,8 @@ The index of a system of supports is computed by three independent routes:
 
 Exact agreement of the routes is the library's own strongest self-check and
 is enforced by `index_report`.  The polytope routes share one polarization
-pass, and a bounded LRU memo keyed by (route, space, summand vertices) keeps
-their subset-sum measures across queries; `memo_info` reads its hits.
+pass, and a bounded LRU memo keyed by (route, space, summands' int vertices)
+keeps their subset-sum measures across queries; `memo_info` reads its hits.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from math import comb, factorial
 from .errors import DomainError, RouteDisagreementError, ValidationError
 from .gelfand_tsetlin import free_pattern_entries, newton_lift
 from .lattices import AffineLattice
-from .linalg import vscale
 from .polarization import polarize
 from .polynomials import integrate, product_values
 from .polytopes import Polytope, hull, lattice_points, volume
@@ -97,7 +96,7 @@ class SupportSet:
     """
 
     space: HorosphericalSpace
-    weights: tuple  # face-coordinate integral points, sorted
+    weights: tuple  # sorted int tuples in face coordinates
 
     def __post_init__(self):
         pts = sorted({tuple(Q(x) for x in w) for w in self.weights})
@@ -111,6 +110,7 @@ class SupportSet:
             if not self.space.face.face_contains_coords(w):
                 raise DomainError(f"support weight {format_point(w)} is not dominant "
                                   f"on the face")
+        pts = [tuple(x.numerator for x in w) for w in pts]
         if self.space.mode == GENERAL_MODE:
             base = pts[0]
             for w in pts[1:]:
@@ -163,7 +163,7 @@ def _require_count_integer(value, what: str):
 
 
 _MEMO_BOUND = 1024  # entries; bounded so that memory stays flat over any run
-_memo = OrderedDict()  # (route, space, sorted summand vertex tuples) -> measure
+_memo = OrderedDict()  # (route, space, sorted summand (den, points)) -> measure
 _memo_counts = [0, 0]  # hits, misses
 
 
@@ -181,7 +181,7 @@ def memo_clear():
 def _memoized(route: str, space: HorosphericalSpace, measure):
     """`measure` of a subset sum as a polarize measure, looked up in the memo first."""
     def lookup(summands, total):
-        key = (route, space, tuple(sorted(body.vertices for body in summands)))
+        key = (route, space, tuple(sorted((body.den, body.points) for body in summands)))
         if key in _memo:
             _memo_counts[0] += 1
             _memo.move_to_end(key)
@@ -285,7 +285,7 @@ def hilbert_function(space: HorosphericalSpace, support: SupportSet, k: int) -> 
     if k < 0:
         raise DomainError("Hilbert function argument must be nonnegative")
     forms, divisor = dimension_forms(space.face)
-    points = lattice_points(hull([vscale(k, w) for w in support.weights]),
+    points = lattice_points(hull([tuple(k * x for x in w) for w in support.weights]),
                             AffineLattice.standard(space.face.dim))
     total = 0
     for pt, value in zip(points, product_values(forms, points)):

@@ -136,8 +136,7 @@ class ChamberFace:
         return tuple(out)
 
     def expand(self, face_coords):
-        """Full weight from block coordinates."""
-        face_coords = tuple(Q(x) for x in face_coords)
+        """Full weight from block coordinates, whose entries it copies."""
         if len(face_coords) != self.dim:
             raise DomainError("face coordinate length mismatch")
         out = []

@@ -235,6 +235,14 @@ def test_exit_code_semantic_error(tmp_path, capsys):
     assert json.loads(err)["error"] == "validation"
 
 
+def test_unknown_mode_is_named(tmp_path, capsys):
+    path = write(tmp_path, "problem.json", dict(BEZOUT_PROBLEM, mode="bogus"))
+    code, out, err = run_cli(["index", path], capsys)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {"error": "validation", "detail": "unknown mode 'bogus'"}
+
+
 def test_output_file(tmp_path, capsys):
     path = write(tmp_path, "problem.json", BEZOUT_PROBLEM)
     out_path = tmp_path / "result.json"

@@ -190,3 +190,9 @@ def test_newton_lift_requires_face_coords():
         newton_lift(face, hull([(0, 0, 0), (1, 0, 0)]))
     with pytest.raises(DomainError):
         newton_lift(face, hull([(0, 1)]))  # not dominant
+
+
+def test_newton_lift_names_a_rational_base_vertex():
+    face = ChamberFace(GroupDescriptor((3,)), ((1, 2),))
+    with pytest.raises(DomainError, match=r"base vertex \(1/2, 1\) is not inside the face"):
+        newton_lift(face, hull([(Q(1, 2), 1), (3, 0)]))

@@ -12,13 +12,13 @@ same answers.
 """
 
 import itertools
+from math import ceil, floor
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expanded_integral import expanded_integral, solve_volume
 from horoindex import AffineLattice, Polynomial, Q, hull, integrate, lattice_points, volume
-from horoindex.rationals import rat_ceil, rat_floor
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -35,7 +35,7 @@ def scan_lattice_points(p, lattice):
     ranges = []
     for j in range(lattice.rank):
         vals = [c[j] for c in coords]
-        ranges.append(range(rat_ceil(min(vals)), rat_floor(max(vals)) + 1))
+        ranges.append(range(ceil(min(vals)), floor(max(vals)) + 1))
     points = (lattice.point_at(combo) for combo in itertools.product(*ranges))
     return sorted(pt for pt in points if p.contains(pt))
 

@@ -278,6 +278,12 @@ def test_dilate_rejects_a_float_factor():
     assert dilate(tri, Q(1, 2)).vertices == ((0, 0), (1, 0), (1, Q(1, 2)))
 
 
+def test_hull_rejects_a_float_coordinate():
+    with pytest.raises(DomainError, match=r"not the float 0\.1"):
+        hull([(0.1,), (1,)])
+    assert hull([(Q(1, 10),), (1,)]).vertices == ((Q(1, 10),), (Q(1),))
+
+
 @pytest.mark.parametrize("point", [(0, 0, 7), (0,)])
 def test_point_of_the_wrong_length_is_rejected(point):
     tri = hull([(0, 0), (1, 0), (0, 1)])
