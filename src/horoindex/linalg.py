@@ -6,14 +6,14 @@ live in dimension <= 10 or so, with at most a few hundred points, so the
 plain O(n^3) algorithms are the right tool.
 
 Every elimination runs on Python ints.  `common_denominator` and `scaled`
-turn rational rows into integer ones; `bareiss` is the one Gauss-Jordan
-elimination, fraction-free (Bareiss 1968: every intermediate entry is a
-minor of the input, so each division is exact), and `primitive` divides
-out a gcd.  `rref`, `rank`, `solve` and `nullspace` scale each row to ints
-and read their results off the `bareiss` form: rref is it divided by its
-last pivot, and the kernel basis is integer.  `normal_vector`, which the
-hull calls once per facet plane, takes integer rows and eliminates them
-as they are.  `det` keeps its own signed forward elimination.
+turn rational rows into integer ones (int rows pass as they are); `bareiss`
+is the one Gauss-Jordan elimination, fraction-free (Bareiss 1968: every
+intermediate entry is a minor of the input, so each division is exact), and
+`primitive` divides out a gcd.  `rref`, `rank`, `solve` and `nullspace`
+read their results off the `bareiss` form: rref is it divided by its last
+pivot, and the kernel basis is integer.  `extend_echelon` reduces one row
+at a time, so a rank test can stop early; the hull calls it and, for its
+first simplex only, `normal_vector`.  `det` keeps its own elimination.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ def primitive(vec):
 
 
 def _integer_rows(rows):
-    """Each rational row times the common denominator of its entries."""
-    return [scaled(row, common_denominator(row)) for row in rows]
+    """Int rows as they are, other rows times their entries' common denominator."""
+    return [row if all(type(x) is int for x in row) else scaled(row, common_denominator(row))
+            for row in rows]
 
 
 def bareiss(rows):
@@ -139,6 +140,22 @@ def _kernel_vector(reduced, pivots, free, ncols):
     return tuple(vec)
 
 
+def extend_echelon(echelon, row):
+    """Reduce an integer row fraction-free against echelon, a list of
+    (pivot column, primitive row) pairs each 0 at the earlier pivots; append
+    it and return True if it is independent of them, else return False."""
+    for c, e in echelon:
+        f = row[c]
+        if f:
+            p = e[c]
+            row = [p * x - f * y for x, y in zip(row, e)]
+    c = next((j for j, x in enumerate(row) if x), None)
+    if c is None:
+        return False
+    echelon.append((c, primitive(row)))
+    return True
+
+
 def normal_vector(rows):
     """Primitive integer generator of the kernel of an integer matrix with
     one more column than its rank, or None when the kernel is larger."""
@@ -155,12 +172,16 @@ def normal_vector(rows):
 def det(rows):
     """Determinant by Bareiss's fraction-free elimination.
 
-    Integer rows give an int.  Rational rows are scaled to integers by
-    their common denominator d first, and the result is divided by d^n.
+    Integer rows give an int and are not rescaled.  Rational rows are scaled
+    to integers by their common denominator d first, and the result is
+    divided by d^n.
     """
     n = len(rows)
-    d = common_denominator(x for row in rows for x in row)
-    mat = [list(scaled(row, d)) for row in rows]
+    if all(type(x) is int for row in rows for x in row):
+        d, mat = 1, [list(row) for row in rows]
+    else:
+        d = common_denominator(x for row in rows for x in row)
+        mat = [list(scaled(row, d)) for row in rows]
     sign, prev = 1, 1
     for c in range(n):
         pivot = next((i for i in range(c, n) if mat[i][c]), None)

@@ -17,9 +17,11 @@ dimension: volumes and integrals need no low-dimensional case.
 
 `hull` is the one place where rationals become ints: it rejects floats and
 scales its points once by their common denominator.  `_hull`, which
-`minkowski_sum`, `dilate` and `newton_lift` call on stored ints, finds the
-span, facet planes, visibility and extreme vertices by fraction-free
-elimination, and volumes take integer determinants.
+`minkowski_sum`, `dilate` and `newton_lift` call on stored ints, eliminates
+only for the span and the first simplex's facets: later facet planes come
+from a map of ridges to facets and the pencil of the two planes through a
+ridge, extreme vertices from an incremental rank test.  Volumes take
+integer determinants.
 
 Lattice points are enumerated by slices in lattice coordinates: all span
 pivots but the last range over the bounding box, and the facet inequalities
@@ -31,16 +33,15 @@ integral.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from math import factorial, gcd, lcm
 from operator import mul
 
 from .errors import DomainError, check_length
 from .lattices import AffineLattice
-from .linalg import (bareiss, common_denominator, det, normal_vector,
+from .linalg import (common_denominator, det, extend_echelon, normal_vector,
                      primitive, rref, scaled, vsub)
-from .rationals import Q, ZERO, is_integral
+from .rationals import Q, ZERO, exact_point, is_integral
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,18 +108,18 @@ def _hull_core(coords):
     merged facets are (normal, offset, vertex indices) and simplicial facets
     (index tuple, normal, offset), each normal primitive and each plane
     n.x <= b on the hull.  In 1-D a facet is a point, with normal +-(1,).
-    """
-    k = len(coords[0])
-    npts = len(coords)
+
+    Only the initial simplex's facets take an elimination.  A later facet
+    joins p to a horizon ridge on a facet (n1, b1) that sees p and one
+    (n2, b2) that does not; with h = n.p - b, so h1 > 0 >= h2, its plane is
+    h1 (n2, b2) - h2 (n1, b1), which faces out.  `ridges` maps each ridge to
+    the facets through it."""
+    k, npts = len(coords[0]), len(coords)
 
     # initial simplex: greedy scan for k+1 affinely independent points
-    simplex_idx = [0]
-    basis_rows = []
+    simplex_idx, echelon = [0], []
     for i in range(1, npts):
-        d = vsub(coords[i], coords[0])
-        trial = basis_rows + [d]
-        if len(bareiss(trial)[1]) > len(basis_rows):
-            basis_rows.append(d)
+        if extend_echelon(echelon, vsub(coords[i], coords[0])):
             simplex_idx.append(i)
             if len(simplex_idx) == k + 1:
                 break
@@ -128,12 +129,7 @@ def _hull_core(coords):
     # the simplex's vertex sum is k+1 times an interior point
     inside = tuple(sum(coords[i][j] for i in simplex_idx) for j in range(k))
 
-    def plane(verts):
-        q0 = coords[verts[0]]
-        n = normal_vector([vsub(coords[i], q0) for i in verts[1:]]) if k > 1 else (1,)
-        if n is None:
-            raise DomainError("degenerate facet hyperplane")
-        b = sum(map(mul, n, q0))
+    def oriented(n, b):
         side = sum(map(mul, n, inside)) - (k + 1) * b
         if side > 0:
             return tuple(-x for x in n), -b
@@ -141,29 +137,46 @@ def _hull_core(coords):
             raise DomainError("interior point on facet hyperplane")
         return n, b
 
-    facets = {}
+    facets, ridges = {}, {}
+
+    def add(verts, plane):
+        facets[verts] = plane
+        for i in range(k):
+            ridges.setdefault(verts[:i] + verts[i + 1:], []).append(verts)
+
     for omit in simplex_idx:
         verts = tuple(sorted(i for i in simplex_idx if i != omit))
-        facets[verts] = plane(verts)
+        q0 = coords[verts[0]]
+        n = normal_vector([vsub(coords[i], q0) for i in verts[1:]]) if k > 1 else (1,)
+        if n is None:
+            raise DomainError("degenerate facet hyperplane")
+        add(verts, oriented(n, sum(map(mul, n, q0))))
 
     for idx in range(npts):
         if idx in simplex_idx:
             continue
         p = coords[idx]
-        visible = [verts for verts, (n, b) in facets.items() if sum(map(mul, n, p)) > b]
-        if not visible:
-            continue
-        ridge_count = Counter()
-        for verts in visible:
-            for v in verts:
-                ridge_count[tuple(x for x in verts if x != v)] += 1
-        for verts in visible:
-            del facets[verts]
-        for ridge, cnt in ridge_count.items():
-            if cnt != 1:
-                continue
-            verts = tuple(sorted(ridge + (idx,)))
-            facets[verts] = plane(verts)
+        heights = ((verts, sum(map(mul, n, p)) - b) for verts, (n, b) in facets.items())
+        visible = {verts: h for verts, h in heights if h > 0}
+        for verts, h1 in visible.items():
+            n1, b1 = facets.pop(verts)
+            for i in range(k):
+                ridge = verts[:i] + verts[i + 1:]
+                # the other facet through the ridge; if it is visible too, the
+                # ridge goes, and it is gone already if that one came first
+                f, g = ridges.pop(ridge, (verts, verts))
+                other = g if f == verts else f
+                if other in visible:
+                    continue
+                ridges[ridge] = [other]
+                n2, b2 = facets[other]
+                h2 = sum(map(mul, n2, p)) - b2
+                n = [h1 * y - h2 * x for x, y in zip(n1, n2)]
+                d = gcd(*n)
+                if d == 0:
+                    raise DomainError("degenerate facet hyperplane")
+                add(tuple(sorted(ridge + (idx,))),
+                    oriented(tuple(x // d for x in n), (h1 * b2 - h2 * b1) // d))
 
     # merge coplanar simplicial facets into true facets: (n, b) is primitive
     # because n is, so equal planes have equal keys
@@ -173,27 +186,25 @@ def _hull_core(coords):
 
     merged_facets = sorted((n, b, tuple(sorted(vs))) for (n, b), vs in merged.items())
 
-    # a boundary point is extreme iff its active facet normals span R^k
+    # a boundary point is extreme iff its active facet normals span R^k;
+    # the reduction stops once they do
+    active = {}
+    for n, _, vs in merged_facets:
+        for v in vs:
+            active.setdefault(v, []).append(n)
     extreme = []
-    on_boundary = sorted({v for _, _, vs in merged_facets for v in vs})
-    for v in on_boundary:
-        normals = [n for n, b, vs in merged_facets if v in vs]
-        if len(bareiss(normals)[1]) == k:
+    for v in sorted(active):
+        echelon = []
+        if any(extend_echelon(echelon, n) and len(echelon) == k for n in active[v]):
             extreme.append(v)
 
     simplices = sorted((verts, n, b) for verts, (n, b) in facets.items())
     return extreme, merged_facets, simplices
 
 
-def _rational(x):
-    if isinstance(x, float):
-        raise DomainError(f"hull coordinates must be ints or Fractions, not the float {x!r}")
-    return x if isinstance(x, (int, Q)) else Q(x)
-
-
 def hull(points) -> Polytope:
     """Convex hull with minimal vertex list and span-relative facet description."""
-    pts = {tuple(map(_rational, p)) for p in points}
+    pts = {exact_point(p, "hull coordinates") for p in points}
     if not pts:
         raise DomainError("hull of an empty point set")
     if len({len(p) for p in pts}) > 1:

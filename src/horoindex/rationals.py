@@ -5,13 +5,26 @@ volumes, integrals, polynomial coefficients) are fractions.Fraction, named
 Q throughout.  Support weights are int tuples, and a `Polytope` stores its
 vertices as ints over one denominator, scaled once in `polytopes.hull`;
 the kernel and the three routes compute on ints.  The helpers below accept
-ints too, which carry numerator and denominator.
+ints too, which carry numerator and denominator; `exact_point` checks
+input points, turning integral entries into ints and rejecting floats.
 """
 
 from fractions import Fraction as Q
 
+from .errors import DomainError
+
 
 ZERO = Q(0)
+
+
+def exact_point(v, what):
+    """v with its integral entries as ints and the others as Fractions; a
+    float is rejected by name, and any other entry goes through Q."""
+    for x in v:
+        if isinstance(x, float):
+            raise DomainError(f"{what} must be ints or Fractions, not the float {x!r}")
+    v = [x if isinstance(x, (int, Q)) else Q(x) for x in v]
+    return tuple(x.numerator if x.denominator == 1 else x for x in v)
 
 
 def is_integral(q) -> bool:

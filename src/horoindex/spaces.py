@@ -38,7 +38,7 @@ from .lattices import AffineLattice
 from .polarization import polarize
 from .polynomials import integrate, product_values
 from .polytopes import Polytope, hull, lattice_points, volume
-from .rationals import Q, format_point, format_rat, is_integral
+from .rationals import Q, exact_point, format_point, format_rat, is_integral
 from .weyl import ChamberFace, dimension_forms, restricted_weyl, space_dims
 
 QUOTIENT_MODE = "quotient_by_commutator"
@@ -99,7 +99,7 @@ class SupportSet:
     weights: tuple  # sorted int tuples in face coordinates
 
     def __post_init__(self):
-        pts = sorted({tuple(Q(x) for x in w) for w in self.weights})
+        pts = sorted({exact_point(w, "support weights") for w in self.weights})
         if not pts:
             raise DomainError("support set must be nonempty")
         for w in pts:
@@ -110,7 +110,6 @@ class SupportSet:
             if not self.space.face.face_contains_coords(w):
                 raise DomainError(f"support weight {format_point(w)} is not dominant "
                                   f"on the face")
-        pts = [tuple(x.numerator for x in w) for w in pts]
         if self.space.mode == GENERAL_MODE:
             base = pts[0]
             for w in pts[1:]:

@@ -31,7 +31,7 @@ from functools import lru_cache
 from .errors import DomainError
 from .lattices import AffineLattice
 from .polynomials import Polynomial, product_values
-from .rationals import Q, format_point, format_rat, is_integral
+from .rationals import Q, exact_point, format_point, format_rat, is_integral
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ class ChamberFace:
 
     def face_coordinates(self, weight):
         """Block coordinates of a block-constant weight; raises otherwise."""
-        weight = tuple(Q(x) for x in weight)
+        weight = exact_point(weight, "weights")
         if len(weight) != self.group.rank:
             raise DomainError("weight length does not match group rank")
         out = []

@@ -5,21 +5,27 @@ The oracle below is the `Fraction` kernel: facet planes from a rational
 nullspace, an interior point that is the simplex centroid, planes merged
 through `clear_denominators`, and determinants by Gaussian elimination over
 Q.  The library scales points by their common denominator and does all of
-that on ints; both must give the same polytope, the same triangulation and
-the same volumes.
+that on ints, and takes a new facet's plane from the pencil of the two
+facets through its horizon ridge; both must give the same polytope, the
+same triangulation and the same volumes.
 """
 
+import itertools
 from collections import Counter
 from math import factorial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraction_kernel import (ONE, ZERO, clear_denominators, dot, fraction_det, nullspace,
                              rref)
-from horoindex import AffineLattice, DomainError, Q, hull, triangulation, volume
+from horoindex import (AffineLattice, ChamberFace, DomainError, GroupDescriptor, Q, hull,
+                       minkowski_sum, newton_lift, triangulation, volume)
+from horoindex import polytopes
+from horoindex.gelfand_tsetlin import fiber_vertices
 from horoindex.linalg import det, vsub
-from horoindex.polytopes import _span_sublattice
+from horoindex.polytopes import _hull_core, _span_sublattice
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -164,12 +170,19 @@ def point_sets(draw):
     return n, pts
 
 
+@st.composite
+def cube_point_sets(draw):
+    """Up to 20 points of {0, 1, 2}^n in dimension 5-6, full-dimensional or
+    not: many are coplanar with a facet, so new facets often lie in the
+    plane of a hidden neighbour and merge with it."""
+    n = draw(st.integers(5, 6))
+    count = draw(st.integers(n + 1, 20))
+    return n, [tuple(draw(st.integers(0, 2)) for _ in range(n)) for _ in range(count)]
+
+
 # -- properties ---------------------------------------------------------------
 
-@PROPERTY
-@given(point_sets())
-def test_hull_matches_the_fraction_kernel(case):
-    n, pts = case
+def assert_matches_the_fraction_kernel(n, pts):
     p = hull(pts)
     vertices, span_basis, pivots, facets, fan = fraction_hull(pts)
     assert p.vertices == vertices
@@ -181,6 +194,62 @@ def test_hull_matches_the_fraction_kernel(case):
         p, fan, AffineLattice.standard(n))
     index_two = AffineLattice((0,) * n, INDEX_TWO[n])
     assert volume(p, index_two) == fraction_volume(p, fan, index_two)
+
+
+@PROPERTY
+@given(point_sets())
+def test_hull_matches_the_fraction_kernel(case):
+    assert_matches_the_fraction_kernel(*case)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(cube_point_sets())
+def test_coplanar_cube_hulls_match_the_fraction_kernel(case):
+    n, pts = case
+    p = hull(pts)
+    vertices, _, _, facets, fan = fraction_hull(pts)
+    assert (p.vertices, p.facets) == (vertices, facets)
+    assert set(triangulation(p)) == set(fan)
+
+
+def test_a_point_coplanar_with_a_hidden_facet():
+    # (2,0,0) sees only x+y+z <= 1; the facets y >= 0 and z >= 0 behind its
+    # horizon contain it, so its new facets lie in their planes and merge
+    coords = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (2, 0, 0)]
+    assert _hull_core(coords)[:2] == fraction_hull_core(coords)[:2]
+    extreme, merged, _ = _hull_core(coords)
+    assert extreme == [0, 1, 2, 4]
+    assert ((0, -1, 0), 0, (0, 1, 3, 4)) in merged
+    assert ((0, 0, -1), 0, (0, 2, 3, 4)) in merged
+    assert_matches_the_fraction_kernel(3, coords)
+
+
+@pytest.mark.parametrize("blocks", [(1, 2), (2, 1)])
+def test_lifts_of_minkowski_sums_match_the_fraction_kernel(blocks):
+    face = ChamberFace(GroupDescriptor((3,)), (blocks,))
+    bodies = [hull(s) for s in (((0, 0), (2, 1)), ((1, 0), (2, 2), (2, 0)),
+                                ((0, 0), (1, 1), (2, 0)))]
+    for a, b in itertools.combinations_with_replacement(bodies, 2):
+        base = minkowski_sum(a, b)
+        lift = newton_lift(face, base)
+        candidates = [v + w for v in base.points for w in fiber_vertices(face, v)]
+        vertices, _, _, facets, fan = fraction_hull(candidates)
+        assert (lift.vertices, lift.facets) == (vertices, facets)
+        assert set(triangulation(lift)) == set(fan)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_only_the_initial_simplex_takes_an_elimination(monkeypatch, k):
+    calls, original = [], polytopes.normal_vector
+
+    def counting(rows):
+        calls.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(polytopes, "normal_vector", counting)
+    extreme, _, _ = _hull_core(list(itertools.product((0, 1), repeat=k)))
+    assert len(extreme) == 2 ** k
+    assert len(calls) == k + 1
 
 
 @PROPERTY

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from fraction_kernel import dot
-from horoindex.linalg import det, integer_kernel, nullspace, rank, rref, solve
+from horoindex import linalg
+from horoindex.linalg import (det, extend_echelon, integer_kernel, nullspace, rank, rref,
+                              solve)
 from horoindex.rationals import Q
 
 
@@ -60,6 +62,24 @@ def test_det_alternating():
     rows = [(Q(1), Q(2), Q(0)), (Q(0), Q(1), Q(1)), (Q(3), Q(0), Q(2))]
     swapped = [rows[1], rows[0], rows[2]]
     assert det(swapped) == -det(rows)
+
+
+def test_int_rows_are_not_rescaled(monkeypatch):
+    rows = [(2, -1, 0), (1, 3, 4), (0, 5, -2)]
+    rational = [tuple(Q(x) for x in row) for row in rows]
+    expected = det(rational), rref(rational)
+    monkeypatch.setattr(linalg, "scaled", None)
+    assert det(rows) == expected[0] and type(det(rows)) is int
+    assert rref(rows) == expected[1]
+
+
+def test_extend_echelon_tracks_the_rank():
+    echelon = []
+    rows = [(0, 2, 4), (0, 1, 2), (3, 0, 1), (3, 2, 5), (1, 1, 1)]
+    grew = [extend_echelon(echelon, row) for row in rows]
+    assert grew == [True, False, True, False, True]
+    assert [c for c, _ in echelon] == [1, 0, 2]
+    assert len(echelon) == rank(rows)
 
 
 def test_integer_kernel_is_integral_and_spans():

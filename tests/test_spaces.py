@@ -181,6 +181,25 @@ def test_support_validation():
         SupportSet(space, ((0, 0), (1, 1)))  # difference outside Lambda(H)
 
 
+def test_support_weights_are_ints_and_floats_are_rejected():
+    space = bezout_space()
+    s = SupportSet(space, ((Q(2), 0), (1, Q(0)), (2, 0)))
+    assert s.weights == ((1, 0), (2, 0))
+    assert all(type(x) is int for w in s.weights for x in w)
+    with pytest.raises(DomainError, match=r"support weights must be ints or Fractions, "
+                                          r"not the float 2\.0"):
+        SupportSet(space, ((2.0, 1.0), (1, 0)))
+    with pytest.raises(DomainError, match=r"not the float 0\.1"):
+        SupportSet(space, ((0.1, 0.0),))
+    with pytest.raises(DomainError, match=r"weights must be ints or Fractions, "
+                                          r"not the float 2\.0"):
+        SupportSet.from_full_weights(space, [(2.0, 1.0, 1.0)])
+    with pytest.raises(DomainError, match=r"support weight \(1/2, 0\) is not integral"):
+        SupportSet(space, ((0, 0), (Q(1, 2), 0)))
+    with pytest.raises(DomainError, match=r"support weight \(0, 1\) is not dominant"):
+        SupportSet(space, ((0, 1),))
+
+
 def test_support_count_enforced():
     space = bezout_space()
     with pytest.raises(DomainError):
