@@ -14,10 +14,10 @@ weight row (Pegel, Order 2018), and as rows are non-increasing, an entry
 strictly between its upper neighbours is linked to nothing above its row.
 So vertices copy weight entries: they are int tuples for an int weight,
 and the vertices for the weight w / d are those for w divided by d.
-`gt_polytope` is the hull of those vertices, a plain `Polytope`; the
-inequalities themselves are never built.  Every weight is validated by one
-check, `_check_weight` (nonempty, non-increasing; int entries stay ints),
-and `gt_lattice_count` also insists on integral entries.
+`gt_polytope` is the hull of those vertices, a plain `Polytope`.  Every
+weight is validated by one check, `_check_weight` (nonempty,
+non-increasing; int entries stay ints), and `gt_lattice_count` also
+insists on integral entries.
 
 The map weight -> polytope is Minkowski-linear on the dominant cone, the
 number of integral patterns equals dim V_lambda, and the (span-relative)
@@ -28,7 +28,8 @@ D whose fiber at lambda is the GT polytope of lambda, written in the
 coordinates (face coordinates, free pattern entries).  Pattern entries that
 the face's block structure pins to a block value are dropped; this is the
 projection convention that keeps degenerate fibers full-dimensional in
-their own coordinate subspace.
+their own coordinate subspace.  A lift is built without a hull, from its
+vertices and its inequalities (`newton_lift`).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import itertools
 from functools import lru_cache
 
 from .errors import DomainError
-from .polytopes import Polytope, _hull, hull
+from .polytopes import Polytope, _from_planes, hull
 from .rationals import Q, format_point, is_integral
 from .weyl import ChamberFace
 
@@ -131,29 +132,47 @@ def free_pattern_entries(face: ChamberFace):
 def fiber_vertices(face: ChamberFace, face_coords):
     """Vertices of the GT fiber over a point of the face, projected to the
     free pattern coordinates (all GL factors concatenated)."""
-    weight = face.expand(face_coords)
-    free = free_pattern_entries(face)
-    per_factor = []
-    pos = 0
-    for factor, n in enumerate(face.group.gl_factors):
-        block = weight[pos:pos + n]
-        pos += n
-        if pattern_dim(n) == 0:
-            per_factor.append([()])
-            continue
-        idx = free[factor]
+    weight, pos, per_factor = face.expand(face_coords), 0, []
+    for idx, n in zip(free_pattern_entries(face), face.group.gl_factors):
+        block, pos = weight[pos:pos + n], pos + n
         vs = _gt_vertices(_check_weight(block))
         per_factor.append(sorted({tuple(v[i] for i in idx) for v in vs}))
     return [sum(combo, ()) for combo in itertools.product(*per_factor)]
+
+
+@lru_cache(maxsize=None)
+def interlacing_rows(face: ChamberFace):
+    """The interlacing relations of every GL factor as int half-spaces
+    (a, 0), a.(c, x) <= 0, over face coordinates c and the free pattern
+    entries x.  A weight entry and a pinned pattern entry read their
+    block's face coordinate; a relation between two entries that read the
+    same coordinate holds on the whole face and is left out."""
+    free = free_pattern_entries(face)
+    width = face.dim + sum(map(len, free))
+    rows, first, column = set(), 0, itertools.count(face.dim)  # first: the factor's first block
+    for factor, n in enumerate(face.group.gl_factors):
+        entry = {(n, c): first + face.block_of_column(factor, c - 1) for c in range(1, n + 1)}
+        for i, (r, c) in enumerate(pattern_positions(n)):
+            entry[r, c] = next(column) if i in free[factor] else entry[n, c]
+        for r, c in pattern_positions(n):  # x[r+1][c] >= x[r][c] >= x[r+1][c+1]
+            for upper, lower in (((r + 1, c), (r, c)), ((r, c), (r + 1, c + 1))):
+                if entry[upper] != entry[lower]:
+                    a = [0] * width
+                    a[entry[lower]], a[entry[upper]] = 1, -1
+                    rows.add(tuple(a))
+        first += len(face.blocks[factor])
+    return tuple((a, 0) for a in sorted(rows))
 
 
 def newton_lift(face: ChamberFace, base: Polytope) -> Polytope:
     """The polytope fibered over `base` (in face coordinates) with GT fibers.
 
     Coordinates: face coordinates first, then the free pattern entries of
-    each GL factor in order.  The extreme points of the lift sit over the
-    vertices of the base because the fiber map is Minkowski-linear, so the
-    hull of vertex fibers is exact.
+    each GL factor in order.  It is built from both of its descriptions,
+    with no hull.  The fiber map is Minkowski-linear, so its vertices are
+    those of the fibers over the base's vertices.  It is cut out of
+    base x (pattern space) by the interlacing rows, so its facets are among
+    those rows and the base's facets, n.(x - v0) <= b at the span pivots.
     """
     if base.ambient_dim != face.dim:
         raise DomainError("base polytope must live in face coordinates")
@@ -163,4 +182,9 @@ def newton_lift(face: ChamberFace, base: Polytope) -> Polytope:
             vertex = format_point(Q(x, base.den) for x in v)
             raise DomainError(f"base vertex {vertex} is not inside the face")
         points += [v + w for w in fiber_vertices(face, v)]
-    return _hull(sorted(points), base.den)
+    planes, v0 = list(interlacing_rows(face)), base.points[0]
+    for n, b in base.facets:
+        at = dict(zip(base.span_pivots, n))
+        planes.append(([at.get(j, 0) for j in range(len(points[0]))],
+                       base.den * b + sum(x * v0[j] for j, x in at.items())))
+    return _from_planes(sorted(points), base.den, planes)

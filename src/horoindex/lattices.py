@@ -7,7 +7,7 @@ from operator import mul
 
 from .errors import DomainError, check_length
 from .linalg import integer_kernel, nullspace, primitive, rank, solve, vsub
-from .rationals import Q, is_integral
+from .rationals import Q, exact_point, is_integral
 
 
 @dataclass(frozen=True)
@@ -16,17 +16,17 @@ class AffineLattice:
 
     Basis vectors are integer and linearly independent; the offset may be
     rational, and n is its length.  The rank-0 lattice (a single point) is
-    allowed.
+    allowed.  Integral entries are stored as ints; a float is rejected.
     """
 
     offset: tuple
     basis: tuple  # tuple of integer tuples
 
     def __post_init__(self):
-        offset = tuple(Q(x) for x in self.offset)
-        if not all(is_integral(Q(x)) for b in self.basis for x in b):
+        offset = exact_point(self.offset, "lattice offset entries")
+        basis = tuple(exact_point(b, "lattice basis entries") for b in self.basis)
+        if any(type(x) is not int for b in basis for x in b):
             raise DomainError("lattice basis entries must be integers")
-        basis = tuple(tuple(int(x) for x in b) for b in self.basis)
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "basis", basis)
         if any(len(b) != len(offset) for b in basis):
@@ -68,8 +68,8 @@ class AffineLattice:
         coordinates are integral."""
         check_length(coords, self.rank)
         sums = list(self.offset)
-        if all(is_integral(o) for o in sums):
-            sums = [o.numerator for o in sums]
+        if not all(type(o) is int for o in sums):
+            sums = [Q(o) for o in sums]
         for c, b in zip(coords, self.basis):
             for i, x in enumerate(b):
                 if x:

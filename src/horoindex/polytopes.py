@@ -17,11 +17,11 @@ dimension: volumes and integrals need no low-dimensional case.
 
 `hull` is the one place where rationals become ints: it rejects floats and
 scales its points once by their common denominator.  `_hull`, which
-`minkowski_sum`, `dilate` and `newton_lift` call on stored ints, eliminates
-only for the span and the first simplex's facets: later facet planes come
-from a map of ridges to facets and the pencil of the two planes through a
-ridge, extreme vertices from an incremental rank test.  Volumes take
-integer determinants.
+`minkowski_sum` and `dilate` call on stored ints, eliminates only for the
+span and the first simplex's facets: later facet planes come from the
+pencil of the two planes through a ridge, extreme vertices from a rank
+test.  `newton_lift` knows its vertices and a superset of its facets and
+calls `_from_planes`, which takes no hull.  Volumes take int determinants.
 
 Lattice points are enumerated by slices in lattice coordinates: all span
 pivots but the last range over the bounding box, and the facet inequalities
@@ -34,12 +34,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from math import factorial, gcd, lcm
-from operator import mul
+from operator import and_, mul
 
 from .errors import DomainError, check_length
 from .lattices import AffineLattice
-from .linalg import (common_denominator, det, extend_echelon, normal_vector,
+from .linalg import (bareiss, common_denominator, det, extend_echelon, normal_vector,
                      primitive, rref, scaled, vsub)
 from .rationals import Q, ZERO, exact_point, is_integral
 
@@ -236,12 +237,77 @@ def _hull(points, den) -> Polytope:
         facets = tuple((key[:-1], key[-1]) for key in planes)
         # the apex, vertex 0, is at span coordinates 0: facets through it have b = 0
         fan = tuple((0,) + verts for verts, _, b in simplices if b != 0)
+    return _polytope(points, den, span_basis, pivots, facets, fan)
+
+
+def _polytope(points, den, span_basis, pivots, facets, fan) -> Polytope:
     # the denominators of the input need not survive in the vertices
     g = gcd(den, *(x for p in points for x in p))
     if g > 1:
         den, points = den // g, [tuple(x // g for x in p) for p in points]
     return Polytope(den=den, points=tuple(points), span_basis=tuple(span_basis),
                     span_pivots=tuple(pivots), facets=facets, fan=fan)
+
+
+def _from_planes(points, den, planes) -> Polytope:
+    """What `_hull` gives for the sorted distinct int points p / den, with
+    no hull, when every p is a vertex and the int half-spaces n.p <= b in
+    `planes` include every facet.
+
+    A half-space's tight set is a face, so the facets are the maximal
+    proper tight sets, bitmasks over the points.  Restricted to span
+    coordinates c, n.p is n.p0 + sum_i c_i (n.row_i) / d, for the `bareiss`
+    rows of the span and their last pivot d.  The fan is the pulling
+    triangulation (De Loera, Rambau and Santos, Triangulations, 2010): a
+    face with dim+1 vertices is a simplex, any other is coned from its
+    lowest vertex over its facets that miss it, the maximal proper sets
+    F & G for G a facet, so every top-level simplex starts at vertex 0.
+    A point cut off by a half-space, or not a vertex, raises DomainError.
+    """
+    base, everything = points[0], (1 << len(points)) - 1
+    rows, pivots = bareiss([vsub(p, base) for p in points[1:]])
+    tight = {}
+    for n, b in planes:
+        slacks = [b - sum(map(mul, n, p)) for p in points]
+        if min(slacks) < 0:
+            raise DomainError("a point violates a half-space of its polytope")
+        mask = sum(1 << i for i, s in enumerate(slacks) if s == 0)
+        if 0 < mask < everything:
+            tight.setdefault(mask, (n, b))
+
+    def maximal(masks):
+        # a strict superset has more points, so it comes first
+        kept = []
+        for m in sorted(masks, key=int.bit_count, reverse=True):
+            if all(m & k != m for k in kept):
+                kept.append(m)
+        return kept
+
+    facet_masks = maximal(tight)
+    for i in range(len(points)):
+        if reduce(and_, [m for m in facet_masks if m >> i & 1], everything) != 1 << i:
+            raise DomainError("a point of a polytope is not a vertex")
+    d = rows[-1][pivots[-1]] if pivots else 1
+    planes = []
+    for n, b in map(tight.get, facet_masks):
+        normal = tuple((den if d > 0 else -den) * sum(map(mul, n, row)) for row in rows)
+        planes.append(primitive(normal + (abs(d) * (b - sum(map(mul, n, base))),)))
+    memo = {}
+
+    def pull(face, dim):
+        if face not in memo:
+            if face.bit_count() == dim + 1:
+                memo[face] = [tuple(i for i in range(len(points)) if face >> i & 1)]
+            else:
+                apex = face & -face
+                memo[face] = [(apex.bit_length() - 1,) + simplex
+                              for cut in maximal({face & m for m in facet_masks} - {face})
+                              if not cut & apex for simplex in pull(cut, dim - 1)]
+        return memo[face]
+
+    return _polytope(points, den, [tuple(Q(x, d) for x in row) for row in rows], pivots,
+                     tuple((key[:-1], key[-1]) for key in sorted(planes)),
+                     tuple(sorted(pull(everything, len(pivots)))))
 
 
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:

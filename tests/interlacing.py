@@ -1,10 +1,13 @@
 """The interlacing inequalities of a Gelfand-Tsetlin polytope: the reference
-that the library's vertex construction is checked against.
+that the library's vertex construction and its interlacing rows are
+checked against.
 
-The library builds GT(lambda) from its vertices and never writes the
-inequalities down; here they are written out row by row, so a test can
-check that every constructed vertex satisfies them and that enough of them
-are tight there.
+The library builds GT(lambda) from its vertices, and a lift from its
+vertices and `gelfand_tsetlin.interlacing_rows`, the same relations over
+face coordinates and free pattern entries.  Here they are written out row
+by row for one weight, with the weight row constant, so a test can check
+that every constructed vertex satisfies them and that enough of them are
+tight there, and that the library's rows agree on expanded patterns.
 """
 
 from horoindex import Q, pattern_positions

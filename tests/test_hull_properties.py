@@ -7,7 +7,9 @@ through `clear_denominators`, and determinants by Gaussian elimination over
 Q.  The library scales points by their common denominator and does all of
 that on ints, and takes a new facet's plane from the pencil of the two
 facets through its horizon ridge; both must give the same polytope, the
-same triangulation and the same volumes.
+same triangulation and the same volumes.  A Gelfand-Tsetlin lift is built
+without a hull and triangulated by pulling, so for lifts the fan is
+checked by a certificate instead of against the oracle's.
 """
 
 import itertools
@@ -235,7 +237,38 @@ def test_lifts_of_minkowski_sums_match_the_fraction_kernel(blocks):
         candidates = [v + w for v in base.points for w in fiber_vertices(face, v)]
         vertices, _, _, facets, fan = fraction_hull(candidates)
         assert (lift.vertices, lift.facets) == (vertices, facets)
-        assert set(triangulation(lift)) == set(fan)
+        assert_triangulates(lift, facets, fan)
+
+
+def assert_triangulates(p, facets, fan):
+    """A certificate that p.fan triangulates p, whose facets in span
+    coordinates are `facets`, without pinning which triangulation: every
+    simplex is nondegenerate, the volumes add up to those of the oracle's
+    `fan`, and every ridge either lies on a facet and belongs to one
+    simplex, or belongs to exactly two simplices on opposite sides of it."""
+    vertices, pivots, k = p.vertices, p.span_pivots, p.dim
+    coords = [tuple(v[j] - vertices[0][j] for j in pivots) for v in vertices]
+
+    def edges(apex, others):
+        return [vsub(coords[i], coords[apex]) for i in others]
+
+    assert all(fraction_det(edges(s[0], s[1:])) != 0 for s in p.fan)
+    for lattice in (AffineLattice.standard(p.ambient_dim),
+                    AffineLattice((0,) * p.ambient_dim, INDEX_TWO[p.ambient_dim])):
+        assert volume(p, lattice) == fraction_volume(p, fan, lattice)
+    opposite = {}
+    for s in p.fan:
+        for i in s:
+            opposite.setdefault(tuple(j for j in s if j != i), []).append(i)
+    for ridge, others in opposite.items():
+        on_facet = any(all(dot(n, coords[i]) == b for i in ridge) for n, b in facets)
+        if len(others) == 1:
+            assert on_facet
+            continue
+        assert not on_facet and len(others) == 2
+        (normal,) = nullspace(edges(ridge[0], ridge[1:]) or [(ZERO,) * k])
+        sides = [dot(normal, edge) for edge in edges(ridge[0], others)]
+        assert sides[0] * sides[1] < 0
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])

@@ -77,3 +77,24 @@ def test_point_of_the_wrong_length_is_rejected(point):
     for method in (lat.contains, lat.coordinates, lat.direction_contains, lat.point_at):
         with pytest.raises(DomainError):
             method(point)
+
+
+def test_entries_are_stored_as_ints_where_integral():
+    lat = AffineLattice((Q(4, 2), Q(1, 2)), ((Q(2), 1),))
+    assert lat.offset == (2, Q(1, 2)) and type(lat.offset[0]) is int
+    assert lat.basis == ((2, 1),) and all(type(x) is int for x in lat.basis[0])
+    assert lat.point_at((3,)) == (8, Q(7, 2))
+
+
+@pytest.mark.parametrize("offset, basis, bad", [
+    ((0.1, 0), ((1, 0),), "offset entries must be ints or Fractions, not the float 0.1"),
+    ((0, 0), ((2.0, 0),), "basis entries must be ints or Fractions, not the float 2.0"),
+])
+def test_a_float_entry_is_rejected_by_name(offset, basis, bad):
+    with pytest.raises(DomainError, match=bad):
+        AffineLattice(offset, basis)
+
+
+def test_a_fractional_basis_entry_is_rejected():
+    with pytest.raises(DomainError, match="basis entries must be integers"):
+        AffineLattice((0, 0), ((Q(1, 2), 0),))
