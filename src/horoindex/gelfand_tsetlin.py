@@ -118,22 +118,23 @@ def free_pattern_entries(face: ChamberFace):
     share a block.  Returns a list (one per factor) of lists of positions
     into pattern_positions(n).
     """
-    out = []
-    for factor, n in enumerate(face.group.gl_factors):
-        free = []
-        for i, (r, c) in enumerate(pattern_positions(n)):
-            lo_col = c + n - r  # 1-based
-            if face.block_of_column(factor, c - 1) != face.block_of_column(factor, lo_col - 1):
-                free.append(i)
-        out.append(free)
-    return out
+    return [list(free) for free in _free_entries(face)]
+
+
+@lru_cache(maxsize=None)
+def _free_entries(face: ChamberFace):
+    """`free_pattern_entries` as a tuple of tuples, computed once per face."""
+    return tuple(tuple(i for i, (r, c) in enumerate(pattern_positions(n))
+                       if face.block_of_column(factor, c - 1)
+                       != face.block_of_column(factor, c + n - r - 1))
+                 for factor, n in enumerate(face.group.gl_factors))
 
 
 def fiber_vertices(face: ChamberFace, face_coords):
     """Vertices of the GT fiber over a point of the face, projected to the
     free pattern coordinates (all GL factors concatenated)."""
     weight, pos, per_factor = face.expand(face_coords), 0, []
-    for idx, n in zip(free_pattern_entries(face), face.group.gl_factors):
+    for idx, n in zip(_free_entries(face), face.group.gl_factors):
         block, pos = weight[pos:pos + n], pos + n
         vs = _gt_vertices(_check_weight(block))
         per_factor.append(sorted({tuple(v[i] for i in idx) for v in vs}))
@@ -147,7 +148,7 @@ def interlacing_rows(face: ChamberFace):
     entries x.  A weight entry and a pinned pattern entry read their
     block's face coordinate; a relation between two entries that read the
     same coordinate holds on the whole face and is left out."""
-    free = free_pattern_entries(face)
+    free = _free_entries(face)
     width = face.dim + sum(map(len, free))
     rows, first, column = set(), 0, itertools.count(face.dim)  # first: the factor's first block
     for factor, n in enumerate(face.group.gl_factors):

@@ -4,15 +4,16 @@ Terms are stored as {exponent tuple: coefficient}; zero coefficients are
 never stored, and exponents must be nonnegative ints.  Includes exact
 integration over rational polytopes, by triangulation and, on each
 simplex, an integer Dirichlet moment of the coordinates at its vertices per
-monomial (see `integrate`), and `product_values`, which evaluates a product
-of integer affine forms at integer points without expanding it.  Neither
-expands a polynomial: `compose_affine` is on no query path.
+monomial (see `integrate`).  Products of integer affine forms are not
+expanded either: `product_values` evaluates one at integer points, and
+`progression_sum` sums it over a progression of them by Newton's formula.
+`compose_affine` is on no query path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, prod
+from math import comb, factorial, prod
 from operator import mul
 
 from .errors import DomainError
@@ -180,6 +181,33 @@ def product_values(forms, points):
         for a, b in forms:
             value *= sum(map(mul, a, x)) + b
         yield value
+
+
+def progression_sum(forms, first, step, count, divisor=1):
+    """Sum of F(x) / divisor, F = prod(a.x + b for a, b in forms), over the int
+    points x = first + t step, t < count, in ints; or None unless every
+    F(x) / divisor is certainly a positive integer.
+
+    F is a polynomial of degree d in t, d the number of forms that move, so
+    its values at t <= m = min(d, count - 1) give sum_t F(t) =
+    sum_j Delta^j F(0) C(count, j + 1) (Newton).  The Delta^j F(0) are
+    integer combinations of those values: divisor divides every F(t) if it
+    divides them.  F > 0 if every form, affine in t, is positive at both ends.
+    """
+    lines = [(sum(map(mul, a, first)) + b, sum(map(mul, a, step))) for a, b in forms]
+    if any(v <= 0 or v + (count - 1) * s <= 0 for v, s in lines):  # a form is v + t s
+        return None
+    values = []
+    for t in range(min(sum(s != 0 for _, s in lines), count - 1) + 1):
+        value, rem = divmod(prod([v + t * s for v, s in lines]), divisor)
+        if rem:
+            return None
+        values.append(value)
+    total = 0
+    for j in range(len(values)):
+        total += values[0] * comb(count, j + 1)
+        values = [y - x for x, y in zip(values, values[1:])]
+    return total
 
 
 def _dirichlet_moment(exp, columns, size):

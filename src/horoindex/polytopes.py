@@ -17,17 +17,18 @@ dimension: volumes and integrals need no low-dimensional case.
 
 `hull` is the one place where rationals become ints: it rejects floats and
 scales its points once by their common denominator.  `_hull`, which
-`minkowski_sum` and `dilate` call on stored ints, eliminates only for the
+`hull` and `minkowski_sum` call on stored ints, eliminates only for the
 span and the first simplex's facets: later facet planes come from the
 pencil of the two planes through a ridge, extreme vertices from a rank
-test.  `newton_lift` knows its vertices and a superset of its facets and
-calls `_from_planes`, which takes no hull.  Volumes take int determinants.
+test.  Two builders take no hull: `dilate` scales the stored points and
+facet offsets, and `newton_lift` knows its vertices and a superset of its
+facets and calls `_from_planes`.  Volumes take int determinants.
 
 Lattice points are enumerated by slices in lattice coordinates: all span
 pivots but the last range over the bounding box, and the facet inequalities
 give the last pivot's integer interval, so no point is tested for
-membership.  They come out as int tuples whenever the lattice's offset is
-integral.
+membership.  A slice is a progression of int points: `lattice_points`
+expands it, and `spaces.hilbert_function` sums over it in closed form.
 """
 
 from __future__ import annotations
@@ -320,13 +321,20 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
 
 
 def dilate(p: Polytope, k) -> Polytope:
+    """k p for an int or `Fraction` k = u / v >= 0, with no hull: points times u,
+    `den` times v, and a facet N.c <= B in span coordinates becomes primitive(v N,
+    u B).  The points keep their order, so the span and fan stay; 0 p is 0."""
     if isinstance(k, float):
         raise DomainError(f"dilation factor must be an int or a Fraction, not the float {k!r}")
     k = Q(k)
     if k < 0:
         raise DomainError("dilation factor must be nonnegative")
-    return _hull(sorted({tuple(k.numerator * x for x in v) for v in p.points}),
-                 k.denominator * p.den)
+    if k == 0:
+        return _polytope([(0,) * p.ambient_dim], 1, (), (), (), ((0,),))
+    u, v = k.numerator, k.denominator
+    planes = sorted(primitive(tuple(v * a for a in n) + (u * b,)) for n, b in p.facets)
+    return _polytope([tuple(u * x for x in pt) for pt in p.points], v * p.den, p.span_basis,
+                     p.span_pivots, tuple((key[:-1], key[-1]) for key in planes), p.fan)
 
 
 def triangulation(p: Polytope):
@@ -385,46 +393,41 @@ def volume(p: Polytope, lattice: AffineLattice):
     return Q(sum(jac for _, jac in simplices), unit * factorial(p.dim))
 
 
+def _lattice_body(p: Polytope, lattice: AffineLattice) -> Polytope:
+    """p in the lattice's coordinates: p itself when they are its vertices, as
+    on the standard lattice, else the hull of the vertices' coordinates."""
+    coords = [lattice.coordinates(v) for v in p.vertices]
+    if None in coords:
+        raise DomainError("polytope must lie in the affine span of the lattice")
+    return p if coords == list(p.vertices) else hull(coords)
+
+
 def lattice_points(p: Polytope, lattice: AffineLattice):
     """All points of the affine lattice inside p, sorted: int tuples when the
-    lattice's offset is integral, `Fraction` tuples otherwise.
-
-    Every vertex of p must lie in the affine span of the lattice (all uses in
-    this library satisfy that).  Enumeration works in lattice coordinates,
-    on the hull of the vertices' coordinates there, slice by slice: see
-    `_integer_points`.  When those coordinates are p's own vertices, as on
-    the standard lattice, the affine map back to ambient points fixes p's
-    span, so the integer points found are the answer; otherwise only the
-    points found are mapped back.  No candidate is tested for membership.
-    """
-    vertices = p.vertices
-    coords = []
-    for v in vertices:
-        c = lattice.coordinates(v)
-        if c is None:
-            raise DomainError("polytope must lie in the affine span of the lattice")
-        coords.append(c)
-    if coords == list(vertices):
-        return sorted(_integer_points(p))
-    return sorted(map(lattice.point_at, _integer_points(hull(coords))))
+    lattice's offset is integral, `Fraction` tuples otherwise.  Every vertex
+    of p must lie in the lattice's affine span.  The integer points of
+    `_lattice_body` are mapped back unless that body is p itself."""
+    body = _lattice_body(p, lattice)
+    points = (tuple(x + t * s for x, s in zip(first, step))
+              for first, step, count in _slices(body) for t in range(count))
+    return sorted(points if body is p else map(lattice.point_at, points))
 
 
-def _integer_points(q: Polytope):
-    """Yield the integer points of q as int tuples, slice by slice.
+def _slices(q: Polytope):
+    """Yield the integer points of q in lexicographic order, one slice at a
+    time, as progressions (first, step, count): the int points first + t step.
 
-    The span pivots of q but the last range over the integers of q's
-    bounding box.  With such a prefix fixed, each facet n.c <= b becomes a
-    bound a*x <= rem on the last pivot x: an upper bound when a > 0, a lower
-    one when a < 0, and for a == 0 either no bound or, when rem < 0, an
-    empty slice.  The other coordinates follow from the pivots through
-    span_basis, and a point is kept only when they are integers; they
-    always are when q is full-dimensional, as span_basis is then the
-    identity.
+    The span pivots but the last range over q's bounding box.  With such a
+    prefix fixed, a facet n.c <= b bounds the last pivot x by a*x <= rem: from
+    above when a > 0, from below when a < 0, and when a == 0 not at all or,
+    if rem < 0, to nothing.  Through span_basis, x + 1 moves a point by its
+    last row r, so the integer points are one class of x modulo the lcm L of
+    r's denominators, found by a scan of at most L values, with step L r.
     """
     points, den, pivots, basis = q.points, q.den, q.span_pivots, q.span_basis
     if not pivots:
         if all(x % den == 0 for x in points[0]):
-            yield tuple(x // den for x in points[0])
+            yield tuple(x // den for x in points[0]), (0,) * len(points[0]), 1
         return
     boxes = [(-(-min(v[j] for v in points) // den), max(v[j] for v in points) // den)
              for j in pivots]
@@ -432,12 +435,14 @@ def _integer_points(q: Polytope):
     # n.x is an integer, so the right side may be rounded down to one
     start = [points[0][j] for j in pivots]
     bounds = [(n[:-1], n[-1], (den * b + sum(map(mul, n, start))) // den) for n, b in q.facets]
-    base = q.base
+    base, last = q.base, basis[-1]
+    period = lcm(*(Q(x).denominator for x in last))
+    step = tuple(int(period * x) for x in last)
     full = len(pivots) == len(base)
     for prefix in itertools.product(*(range(lo, hi + 1) for lo, hi in boxes[:-1])):
         lo, hi = boxes[-1]
         for head, a, rhs in bounds:
-            rem = rhs - sum(x * y for x, y in zip(head, prefix))
+            rem = rhs - sum(map(mul, head, prefix))
             if a > 0:
                 hi = min(hi, rem // a)
             elif a < 0:
@@ -445,13 +450,16 @@ def _integer_points(q: Polytope):
             elif rem < 0:
                 hi = lo - 1
                 break
-        for x in range(lo, hi + 1):
-            pivot_values = prefix + (x,)
-            if full:
-                yield pivot_values
-                continue
-            c = [v - base[j] for v, j in zip(pivot_values, pivots)]
-            point = [base[i] + sum(cj * row[i] for cj, row in zip(c, basis))
-                     for i in range(len(base))]
+        if lo > hi:
+            continue
+        if full:
+            yield prefix + (lo,), step, hi - lo + 1
+            continue
+        c = [v - base[j] for v, j in zip(prefix + (lo,), pivots)]
+        point = [base[i] + sum(cj * row[i] for cj, row in zip(c, basis))
+                 for i in range(len(base))]
+        for x in range(lo, min(hi, lo + period - 1) + 1):
             if all(is_integral(v) for v in point):
-                yield tuple(int(v) for v in point)
+                yield tuple(int(v) for v in point), step, (hi - x) // period + 1
+                break
+            point = [v + y for v, y in zip(point, last)]

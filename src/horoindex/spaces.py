@@ -17,13 +17,15 @@ The index of a system of supports is computed by three independent routes:
   as the polarization of D -> vol(lift(D)) over the moment polytopes,
 * (on diagonals, quotient mode) the leading coefficient of the Hilbert
   function k -> sum of irreducible dimensions over the dilated polytope,
-  taken in ints: each dimension is a product of integer Weyl forms at an
-  integer lattice point, divided once by the forms' integer divisor.
+  taken in ints: a dimension is a product of integer Weyl forms over one
+  divisor, summed over each slice of lattice points from deg + 1 values.
 
 Exact agreement of the routes is the library's own strongest self-check and
 is enforced by `index_report`.  The polytope routes share one polarization
 pass, and a bounded LRU memo keyed by (route, space, summands' int vertices)
 keeps their subset-sum measures across queries; `memo_info` reads its hits.
+A memo of the same bound keeps each support's moment polytope for the
+Hilbert function, which dilates it for every k without a hull.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from .errors import DomainError, RouteDisagreementError, ValidationError
 from .gelfand_tsetlin import free_pattern_entries, newton_lift
 from .lattices import AffineLattice
 from .polarization import polarize
-from .polynomials import integrate, product_values
-from .polytopes import Polytope, hull, lattice_points, volume
+from .polynomials import integrate, product_values, progression_sum
+from .polytopes import Polytope, _lattice_body, _slices, dilate, hull, lattice_points, volume
 from .rationals import Q, exact_point, format_point, format_rat, is_integral
 from .weyl import ChamberFace, dimension_forms, restricted_weyl, space_dims
 
@@ -161,9 +163,10 @@ def _require_count_integer(value, what: str):
     return value
 
 
-_MEMO_BOUND = 1024  # entries; bounded so that memory stays flat over any run
+_MEMO_BOUND = 1024  # entries per memo; bounded so that memory stays flat over any run
 _memo = OrderedDict()  # (route, space, sorted summand (den, points)) -> measure
 _memo_counts = [0, 0]  # hits, misses
+_bodies = OrderedDict()  # support weights -> their hull in face-lattice coordinates
 
 
 def memo_info():
@@ -172,24 +175,29 @@ def memo_info():
 
 
 def memo_clear():
-    """Empty the memo and zero its counts."""
+    """Empty the memos and zero the counts."""
     _memo.clear()
+    _bodies.clear()
     _memo_counts[:] = [0, 0]
+
+
+def _lru(memo, key, compute):
+    """memo[key], from compute() on a miss, evicting the least recently used."""
+    if key in memo:
+        memo.move_to_end(key)
+    else:
+        memo[key] = compute()
+        if len(memo) > _MEMO_BOUND:
+            memo.popitem(last=False)
+    return memo[key]
 
 
 def _memoized(route: str, space: HorosphericalSpace, measure):
     """`measure` of a subset sum as a polarize measure, looked up in the memo first."""
     def lookup(summands, total):
         key = (route, space, tuple(sorted((body.den, body.points) for body in summands)))
-        if key in _memo:
-            _memo_counts[0] += 1
-            _memo.move_to_end(key)
-        else:
-            _memo_counts[1] += 1
-            _memo[key] = measure(total())
-            if len(_memo) > _MEMO_BOUND:
-                _memo.popitem(last=False)
-        return _memo[key]
+        _memo_counts[key not in _memo] += 1
+        return _lru(_memo, key, lambda: measure(total()))
     return lookup
 
 
@@ -269,12 +277,13 @@ def index_via_lift(space: HorosphericalSpace, supports):
 def hilbert_function(space: HorosphericalSpace, support: SupportSet, k: int) -> int:
     """dim of the completion of the k-th power: the sum of irreducible
     dimensions over the face-lattice points of the k-fold dilated moment
-    polytope, the hull of the dilated weights.  Quotient mode only.
+    polytope.  Quotient mode only.
 
-    Every point is an int tuple and every dimension the int product of the
-    face's `dimension_forms` there, divided by their divisor; a remainder
-    or a value <= 0 is a bug, never a dimension, and raises.
-    """
+    The moment polytope is kept per support in a bounded LRU memo and
+    dilated by scaling.  A dimension is F / divisor, F the product of the
+    face's `dimension_forms`; `progression_sum` sums it over each slice and
+    certifies it a positive integer there, or the slice is checked point by
+    point, where a remainder or a value <= 0 raises."""
     if space.mode != QUOTIENT_MODE:
         raise DomainError("the Hilbert function is defined for quotient mode only")
     if support.space != space:
@@ -284,15 +293,19 @@ def hilbert_function(space: HorosphericalSpace, support: SupportSet, k: int) -> 
     if k < 0:
         raise DomainError("Hilbert function argument must be nonnegative")
     forms, divisor = dimension_forms(space.face)
-    points = lattice_points(hull([tuple(k * x for x in w) for w in support.weights]),
-                            AffineLattice.standard(space.face.dim))
+    body = _lru(_bodies, support.weights, lambda: _lattice_body(
+        moment_polytope(support), AffineLattice.standard(space.face.dim)))
     total = 0
-    for pt, value in zip(points, product_values(forms, points)):
-        dim, rem = divmod(value, divisor)
-        if rem or dim <= 0:
-            raise ValidationError(f"dimension formula gave {format_rat(Q(value, divisor))} "
-                                  f"at {format_point(pt)}")
-        total += dim
+    for first, step, count in _slices(dilate(body, k)):
+        value = progression_sum(forms, first, step, count, divisor)
+        if value is None:
+            points = [tuple(x + t * s for x, s in zip(first, step)) for t in range(count)]
+            for pt, f in zip(points, product_values(forms, points)):
+                if f % divisor or f <= 0:
+                    raise ValidationError(f"dimension formula gave "
+                                          f"{format_rat(Q(f, divisor))} at {format_point(pt)}")
+            value = sum(product_values(forms, points)) // divisor
+        total += value
     return total
 
 

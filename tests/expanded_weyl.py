@@ -4,11 +4,12 @@ from them: the reference the factored integer route is compared against.
 
 Weyl's formula is expanded as a `Polynomial` with rational coefficients,
 restricted to a face by substituting its embedding, and evaluated point by
-point in `Fraction`s, without `weyl.dimension_forms` or
-`polynomials.product_values`.
+point in `Fraction`s, without `weyl.dimension_forms`,
+`polynomials.progression_sum` or `dilate`: the Hilbert function's oracle
+hulls the dilated weights itself and sums over every point.
 """
 
-from horoindex import AffineLattice, Polynomial, Q, dilate, lattice_points, moment_polytope
+from horoindex import AffineLattice, Polynomial, Q, hull, lattice_points
 
 
 def expanded_weyl_polynomial(group):
@@ -52,9 +53,9 @@ def expanded_restriction(face):
 
 def hilbert_function_by_expansion(space, support, k):
     """Sum of F_sigma, evaluated in `Fraction`s, over the lattice points of
-    the k-fold dilated moment polytope."""
+    the k-fold dilated moment polytope, the hull of the dilated weights."""
     f_sigma = expanded_restriction(space.face)
-    poly = dilate(moment_polytope(support), k)
+    poly = hull([tuple(k * x for x in w) for w in support.weights])
     total = Q(0)
     for pt in lattice_points(poly, AffineLattice.standard(space.face.dim)):
         value = f_sigma(pt)

@@ -1,9 +1,11 @@
 """The integer Hilbert route against the expanded `Fraction` one.
 
 Dimensions on a face are products of integer forms over one divisor
-(`weyl.dimension_forms`), evaluated by `polynomials.product_values` at the
-int points that `lattice_points` yields.  The reference in
-`expanded_weyl.py` expands Weyl's formula and evaluates it in `Fraction`s.
+(`weyl.dimension_forms`).  `hilbert_function` sums them over each slice of
+the lattice points of the dilated moment polytope, an arithmetic
+progression, with `polynomials.progression_sum`, and `product_values`
+evaluates them at single points.  The reference in `expanded_weyl.py`
+expands Weyl's formula and evaluates it in `Fraction`s at every point.
 """
 
 import itertools
