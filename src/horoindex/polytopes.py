@@ -11,8 +11,8 @@ lattice.
 The hull is computed by an exact incremental (beneath-beyond) algorithm on
 triangulated boundary facets; dimensions here are small enough that
 asymptotics are irrelevant, and determinism matters more: points are always
-processed in lexicographic order and triangulations fan out from the
-lexicographically smallest vertex, by vertex index, the same way in every
+processed in lexicographic order.  Every builder gives one kind of fan, the
+pulling triangulation of `_pulling_fan`, from vertex 0, the same way in every
 dimension: volumes and integrals need no low-dimensional case.
 
 `hull` is the one place where rationals become ints: it rejects floats and
@@ -20,9 +20,9 @@ scales its points once by their common denominator.  `_hull`, which
 `hull` and `minkowski_sum` call on stored ints, eliminates only for the
 span and the first simplex's facets: later facet planes come from the
 pencil of the two planes through a ridge, extreme vertices from a rank
-test.  Two builders take no hull: `dilate` scales the stored points and
-facet offsets, and `newton_lift` knows its vertices and a superset of its
-facets and calls `_from_planes`.  Volumes take int determinants.
+test.  Two builders take no hull: `dilate` scales the points and facet
+offsets, keeping the fan, and `newton_lift` knows its vertices and a superset
+of its facets and calls `_from_planes`.  Volumes take int determinants.
 
 Lattice points are enumerated by slices in lattice coordinates: all span
 pivots but the last range over the bounding box, and the facet inequalities
@@ -106,10 +106,10 @@ def _hull_core(coords):
     """Incremental hull of full-dimensional integer coords (dim k >= 1,
     affine rank k).
 
-    Returns (extreme indices sorted, merged facets, simplicial facets), where
-    merged facets are (normal, offset, vertex indices) and simplicial facets
-    (index tuple, normal, offset), each normal primitive and each plane
-    n.x <= b on the hull.  In 1-D a facet is a point, with normal +-(1,).
+    Returns (extreme indices sorted, merged facets sorted), a merged facet
+    (normal, offset, vertex indices) with primitive normal and n.x <= b on the
+    hull; its vertices may include non-extreme boundary points.  In 1-D a
+    facet is a point, with normal +-(1,).
 
     Only the initial simplex's facets take an elimination.  A later facet
     joins p to a horizon ridge on a facet (n1, b1) that sees p and one
@@ -200,8 +200,7 @@ def _hull_core(coords):
         if any(extend_echelon(echelon, n) and len(echelon) == k for n in active[v]):
             extreme.append(v)
 
-    simplices = sorted((verts, n, b) for verts, (n, b) in facets.items())
-    return extreme, merged_facets, simplices
+    return extreme, merged_facets
 
 
 def hull(points) -> Polytope:
@@ -219,26 +218,20 @@ def _hull(points, den) -> Polytope:
     """Hull of the points p / den, for sorted distinct int tuples p and den > 0."""
     base = points[0]
     span_basis, pivots = rref([vsub(p, base) for p in points[1:]])
-    facets, fan = (), ((0,),)
+    planes, facet_masks = [], []
     if pivots:
         coords = [tuple(p[j] - base[j] for j in pivots) for p in points]
-        extreme, merged, simplices = _hull_core(coords)
-        # A point that was extreme when it was added can end up inside a facet
-        # or an edge of the final hull, still a corner of boundary simplices.
-        # Hulling the extreme points again drops it, so the triangulation that
-        # volumes and integrals run over has fewer pieces: on the first 30
-        # seed-0 gl3-lift problems this pass ran on 255 of the 703 hulls of
-        # dimension >= 2, and their boundary simplices fell from 9,205 to 8,810.
-        if len(extreme) < len(points):
-            points = [points[i] for i in extreme]
-            coords = [coords[i] for i in extreme]
-            extreme, merged, simplices = _hull_core(coords)
-        # n.(den c) <= b is (den n).c <= b in span coordinates c
-        planes = sorted(primitive(tuple(den * a for a in n) + (b,)) for n, b, _ in merged)
-        facets = tuple((key[:-1], key[-1]) for key in planes)
-        # the apex, vertex 0, is at span coordinates 0: facets through it have b = 0
-        fan = tuple((0,) + verts for verts, _, b in simplices if b != 0)
-    return _polytope(points, den, span_basis, pivots, facets, fan)
+        extreme, merged = _hull_core(coords)
+        # base, the smallest point, is extreme, so the span coordinates stay
+        points = [points[i] for i in extreme]
+        position = {v: i for i, v in enumerate(extreme)}
+        for n, b, vs in merged:
+            # n.(den c) <= b is (den n).c <= b in span coordinates c
+            planes.append(primitive(tuple(den * a for a in n) + (b,)))
+            facet_masks.append(sum(1 << position[v] for v in vs if v in position))
+    return _polytope(points, den, span_basis, pivots,
+                     tuple((key[:-1], key[-1]) for key in sorted(planes)),
+                     _pulling_fan(facet_masks, len(points), len(pivots)))
 
 
 def _polytope(points, den, span_basis, pivots, facets, fan) -> Polytope:
@@ -250,6 +243,38 @@ def _polytope(points, den, span_basis, pivots, facets, fan) -> Polytope:
                     span_pivots=tuple(pivots), facets=facets, fan=fan)
 
 
+def _maximal(masks):
+    """The inclusion-maximal masks: a strict superset has more bits, so it comes first."""
+    kept = []
+    for m in sorted(masks, key=int.bit_count, reverse=True):
+        if all(m & k != m for k in kept):
+            kept.append(m)
+    return kept
+
+
+def _pulling_fan(facet_masks, npts, dim):
+    """The pulling triangulation (De Loera, Rambau and Santos, Triangulations,
+    2010) of a dim-polytope with vertices 0..npts-1, from the vertex sets
+    of its facets as bitmasks: a face with dim+1 vertices is a simplex, any
+    other is coned from its lowest vertex over its facets that miss it, the
+    maximal proper sets F & G for G a facet, so every top-level simplex
+    starts at vertex 0.  Returns the sorted tuple of vertex-index tuples."""
+    memo = {}
+
+    def pull(face, dim):
+        if face not in memo:
+            if face.bit_count() == dim + 1:
+                memo[face] = [tuple(i for i in range(npts) if face >> i & 1)]
+            else:
+                apex = face & -face
+                memo[face] = [(apex.bit_length() - 1,) + simplex
+                              for cut in _maximal({face & m for m in facet_masks} - {face})
+                              if not cut & apex for simplex in pull(cut, dim - 1)]
+        return memo[face]
+
+    return tuple(sorted(pull((1 << npts) - 1, dim)))
+
+
 def _from_planes(points, den, planes) -> Polytope:
     """What `_hull` gives for the sorted distinct int points p / den, with
     no hull, when every p is a vertex and the int half-spaces n.p <= b in
@@ -258,11 +283,7 @@ def _from_planes(points, den, planes) -> Polytope:
     A half-space's tight set is a face, so the facets are the maximal
     proper tight sets, bitmasks over the points.  Restricted to span
     coordinates c, n.p is n.p0 + sum_i c_i (n.row_i) / d, for the `bareiss`
-    rows of the span and their last pivot d.  The fan is the pulling
-    triangulation (De Loera, Rambau and Santos, Triangulations, 2010): a
-    face with dim+1 vertices is a simplex, any other is coned from its
-    lowest vertex over its facets that miss it, the maximal proper sets
-    F & G for G a facet, so every top-level simplex starts at vertex 0.
+    rows of the span and their last pivot d.  The fan is `_pulling_fan`'s.
     A point cut off by a half-space, or not a vertex, raises DomainError.
     """
     base, everything = points[0], (1 << len(points)) - 1
@@ -276,15 +297,7 @@ def _from_planes(points, den, planes) -> Polytope:
         if 0 < mask < everything:
             tight.setdefault(mask, (n, b))
 
-    def maximal(masks):
-        # a strict superset has more points, so it comes first
-        kept = []
-        for m in sorted(masks, key=int.bit_count, reverse=True):
-            if all(m & k != m for k in kept):
-                kept.append(m)
-        return kept
-
-    facet_masks = maximal(tight)
+    facet_masks = _maximal(tight)
     for i in range(len(points)):
         if reduce(and_, [m for m in facet_masks if m >> i & 1], everything) != 1 << i:
             raise DomainError("a point of a polytope is not a vertex")
@@ -293,22 +306,9 @@ def _from_planes(points, den, planes) -> Polytope:
     for n, b in map(tight.get, facet_masks):
         normal = tuple((den if d > 0 else -den) * sum(map(mul, n, row)) for row in rows)
         planes.append(primitive(normal + (abs(d) * (b - sum(map(mul, n, base))),)))
-    memo = {}
-
-    def pull(face, dim):
-        if face not in memo:
-            if face.bit_count() == dim + 1:
-                memo[face] = [tuple(i for i in range(len(points)) if face >> i & 1)]
-            else:
-                apex = face & -face
-                memo[face] = [(apex.bit_length() - 1,) + simplex
-                              for cut in maximal({face & m for m in facet_masks} - {face})
-                              if not cut & apex for simplex in pull(cut, dim - 1)]
-        return memo[face]
-
     return _polytope(points, den, [tuple(Q(x, d) for x in row) for row in rows], pivots,
                      tuple((key[:-1], key[-1]) for key in sorted(planes)),
-                     tuple(sorted(pull(everything, len(pivots)))))
+                     _pulling_fan(facet_masks, len(points), len(pivots)))
 
 
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:

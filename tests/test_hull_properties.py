@@ -6,15 +6,18 @@ nullspace, an interior point that is the simplex centroid, planes merged
 through `clear_denominators`, and determinants by Gaussian elimination over
 Q.  The library scales points by their common denominator and does all of
 that on ints, and takes a new facet's plane from the pencil of the two
-facets through its horizon ridge; both must give the same polytope, the
-same triangulation and the same volumes.  A Gelfand-Tsetlin lift is built
-without a hull and triangulated by pulling, so for lifts the fan is
-checked by a certificate instead of against the oracle's.
+facets through its horizon ridge; both must give the same polytope and the
+same volumes.  The oracle's fan is the beneath-beyond boundary coned from
+the first vertex, while every library polytope, a hull or a
+Gelfand-Tsetlin lift built without one, is triangulated by pulling: so the
+fan is checked by a certificate, `assert_triangulates`, not against the
+oracle's.
 """
 
 import itertools
 from collections import Counter
 from math import factorial
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +26,7 @@ from hypothesis import strategies as st
 from fraction_kernel import (ONE, ZERO, clear_denominators, dot, fraction_det, nullspace,
                              rref)
 from horoindex import (AffineLattice, ChamberFace, DomainError, GroupDescriptor, Q, hull,
-                       minkowski_sum, newton_lift, triangulation, volume)
+                       minkowski_sum, newton_lift, volume)
 from horoindex import polytopes
 from horoindex.gelfand_tsetlin import fiber_vertices
 from horoindex.linalg import det, vsub
@@ -37,6 +40,9 @@ INDEX_TWO = {
     2: ((1, 1), (1, -1)),
     3: ((1, 1, 0), (1, -1, 0), (0, 1, 1)),
     4: ((1, 1, 0, 0), (1, -1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)),
+    5: ((1, 1, 0, 0, 0), (1, -1, 0, 0, 0), (0, 1, 1, 0, 0), (0, 0, 1, 1, 0), (0, 0, 0, 1, 1)),
+    6: ((1, 1, 0, 0, 0, 0), (1, -1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0), (0, 0, 1, 1, 0, 0),
+        (0, 0, 0, 1, 1, 0), (0, 0, 0, 0, 1, 1)),
 }
 
 
@@ -191,11 +197,7 @@ def assert_matches_the_fraction_kernel(n, pts):
     assert p.span_basis == span_basis
     assert p.span_pivots == pivots
     assert p.facets == facets
-    assert set(triangulation(p)) == set(fan)
-    assert volume(p, AffineLattice.standard(n)) == fraction_volume(
-        p, fan, AffineLattice.standard(n))
-    index_two = AffineLattice((0,) * n, INDEX_TWO[n])
-    assert volume(p, index_two) == fraction_volume(p, fan, index_two)
+    assert_triangulates(p, facets, fan)
 
 
 @PROPERTY
@@ -211,19 +213,41 @@ def test_coplanar_cube_hulls_match_the_fraction_kernel(case):
     p = hull(pts)
     vertices, _, _, facets, fan = fraction_hull(pts)
     assert (p.vertices, p.facets) == (vertices, facets)
-    assert set(triangulation(p)) == set(fan)
+    assert_triangulates(p, facets, fan)
 
 
 def test_a_point_coplanar_with_a_hidden_facet():
     # (2,0,0) sees only x+y+z <= 1; the facets y >= 0 and z >= 0 behind its
     # horizon contain it, so its new facets lie in their planes and merge
     coords = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (2, 0, 0)]
-    assert _hull_core(coords)[:2] == fraction_hull_core(coords)[:2]
-    extreme, merged, _ = _hull_core(coords)
+    assert _hull_core(coords) == fraction_hull_core(coords)[:2]
+    extreme, merged = _hull_core(coords)
     assert extreme == [0, 1, 2, 4]
     assert ((0, -1, 0), 0, (0, 1, 3, 4)) in merged
     assert ((0, 0, -1), 0, (0, 2, 3, 4)) in merged
     assert_matches_the_fraction_kernel(3, coords)
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)],
+    [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (2, 0, 0)],
+])
+def test_hull_drops_non_extreme_points_in_one_core(monkeypatch, points):
+    # a square with its centre and edge midpoints; (1, 0, 0) ends up inside
+    # an edge of the hull, still a corner of beneath-beyond's boundary simplices
+    calls, original = [], polytopes._hull_core
+
+    def counting(coords):
+        calls.append(coords)
+        return original(coords)
+
+    monkeypatch.setattr(polytopes, "_hull_core", counting)
+    p = hull(points)
+    assert len(calls) == 1
+    vertices, _, _, facets, fan = fraction_hull(points)
+    assert (p.vertices, p.facets) == (vertices, facets)
+    assert len(p.vertices) < len(points)
+    assert_triangulates(p, facets, fan)
 
 
 @pytest.mark.parametrize("blocks", [(1, 2), (2, 1)])
@@ -245,30 +269,38 @@ def assert_triangulates(p, facets, fan):
     coordinates are `facets`, without pinning which triangulation: every
     simplex is nondegenerate, the volumes add up to those of the oracle's
     `fan`, and every ridge either lies on a facet and belongs to one
-    simplex, or belongs to exactly two simplices on opposite sides of it."""
-    vertices, pivots, k = p.vertices, p.span_pivots, p.dim
-    coords = [tuple(v[j] - vertices[0][j] for j in pivots) for v in vertices]
+    simplex, or belongs to exactly two simplices on opposite sides of it.
 
-    def edges(apex, others):
-        return [vsub(coords[i], coords[apex]) for i in others]
-
-    assert all(fraction_det(edges(s[0], s[1:])) != 0 for s in p.fan)
+    Sides are read off signed volumes: with its vertices in index order, a
+    simplex's volume changes sign (-1)^(k - i) when its vertex at position i
+    moves to the end, behind the ridge it faces."""
+    pivots, k = p.span_pivots, p.dim
+    # span coordinates times den, in ints: a facet n.c <= b is n.x <= den b on them
+    coords = [tuple(v[j] - p.points[0][j] for j in pivots) for v in p.points]
+    simplices = [tuple(sorted(s)) for s in p.fan]
+    signed = {s: fraction_det([vsub(coords[i], coords[s[0]]) for i in s[1:]])
+              for s in simplices}
+    assert len(signed) == len(simplices) and all(signed.values())
     for lattice in (AffineLattice.standard(p.ambient_dim),
                     AffineLattice((0,) * p.ambient_dim, INDEX_TWO[p.ambient_dim])):
         assert volume(p, lattice) == fraction_volume(p, fan, lattice)
+    if k == 0:  # a point has no ridge: its fan is its one vertex
+        assert p.fan == ((0,),)
+        return
+    incidences = [{i for i, c in enumerate(coords) if sum(map(mul, n, c)) == p.den * b}
+                  for n, b in facets]
     opposite = {}
-    for s in p.fan:
-        for i in s:
-            opposite.setdefault(tuple(j for j in s if j != i), []).append(i)
+    for s in simplices:
+        for i in range(k + 1):
+            opposite.setdefault(s[:i] + s[i + 1:], []).append((s, i))
     for ridge, others in opposite.items():
-        on_facet = any(all(dot(n, coords[i]) == b for i in ridge) for n, b in facets)
+        on_facet = any(incident.issuperset(ridge) for incident in incidences)
         if len(others) == 1:
             assert on_facet
             continue
         assert not on_facet and len(others) == 2
-        (normal,) = nullspace(edges(ridge[0], ridge[1:]) or [(ZERO,) * k])
-        sides = [dot(normal, edge) for edge in edges(ridge[0], others)]
-        assert sides[0] * sides[1] < 0
+        (s, i), (t, j) = others
+        assert (-1) ** (i + j) * signed[s] * signed[t] < 0
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -280,7 +312,7 @@ def test_only_the_initial_simplex_takes_an_elimination(monkeypatch, k):
         return original(rows)
 
     monkeypatch.setattr(polytopes, "normal_vector", counting)
-    extreme, _, _ = _hull_core(list(itertools.product((0, 1), repeat=k)))
+    extreme, _ = _hull_core(list(itertools.product((0, 1), repeat=k)))
     assert len(extreme) == 2 ** k
     assert len(calls) == k + 1
 

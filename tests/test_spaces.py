@@ -54,6 +54,27 @@ def test_bezout_singletons_give_zero():
     assert index_report(space, supports).index == 0
 
 
+@pytest.mark.parametrize("k, n, degrees, expected", [
+    (1, 3, None, 1), (1, 4, None, 1), (2, 4, None, 2),
+    (2, 5, None, 5), (2, 6, None, 14), (3, 6, None, 42),
+    (2, 4, (1, 1, 2, 3, 2), 24),
+    (2, 5, (1, 2, 3, 1, 1, 2, 1), 60),
+    (2, 6, (2, 1, 1, 1, 1, 1, 1, 1, 2), 56),
+])
+def test_grassmannian_cone_degrees(k, n, degrees, expected):
+    """GL(n) over the parabolic of blocks (k, n - k), with Lambda(H) spanned
+    by the k-th fundamental weight (1, 0), is the cone over Gr(k, n) in its
+    Pluecker embedding, of dimension k(n - k) + 1.  Polynomials of degree
+    d_i in the Pluecker coordinates have d_1...d_m times the Pluecker degree
+    (k(n - k))! prod_{i<k} i! / (n - k + i)! common zeros there, a number
+    that no route of the library derives from another."""
+    space = HorosphericalSpace(gl(n, (k, n - k)), AffineLattice((0, 0), ((1, 0),)),
+                               GENERAL_MODE)
+    degrees = degrees or (1,) * (k * (n - k) + 1)
+    assert space.num_supports == len(degrees)
+    assert index_report(space, [ray_support(space, d) for d in degrees]).index == expected
+
+
 def flag_space(n):
     """Full flag variety model: full chamber, trivial weight lattice."""
     face = gl(n)
