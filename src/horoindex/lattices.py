@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 
 from .errors import DomainError, check_length
@@ -35,7 +36,10 @@ class AffineLattice:
             raise DomainError("lattice basis vectors must be linearly independent")
 
     @classmethod
+    @lru_cache(maxsize=64)
     def standard(cls, n: int) -> "AffineLattice":
+        """Z^n, one shared object per n: a lattice is immutable, and this
+        skips the rank check of its basis on every later call."""
         unit = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
         return cls(offset=(0,) * n, basis=unit)
 

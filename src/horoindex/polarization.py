@@ -10,9 +10,10 @@ degree vanishes at a point).  All bodies must be parallel to the system's
 direction space Pi; a body (or subset sum) of dimension below dim(Pi) has
 Pi-relative volume zero.
 
-`polarize` is the library's one inclusion-exclusion loop.  It runs several
-measures in one pass and hands each the summands with a thunk for their sum,
-so a measure that knows its value (the memo in `spaces`) forms no sum.
+`polarize` is the library's one inclusion-exclusion loop.  Its measure
+returns a tuple, so several functionals share one pass, and it is handed the
+summands with a thunk for their sum, so a measure that knows its values (the
+memo in `spaces`) forms no sum.
 """
 
 from __future__ import annotations
@@ -48,13 +49,14 @@ class BodySystem:
                     raise DomainError("body is not parallel to the direction space")
 
 
-def polarize(measures, bodies):
-    """Values at the bodies of the polarizations of several measures, each
-    homogeneous of degree len(bodies), in one inclusion-exclusion pass.
+def polarize(measure, bodies):
+    """Values at the bodies of the polarizations of a tuple of functionals,
+    each homogeneous of degree len(bodies), in one inclusion-exclusion pass.
 
-    Each measure is called as measure(summands, total) once per nonempty
-    subset; total() returns the Minkowski sum, formed lazily in ambient
-    coordinates from a prefix table of this call, at most once per subset.
+    measure(summands, total) is called once per nonempty subset and returns
+    the tuple of the functionals' values at the subset's Minkowski sum;
+    total() returns that sum, formed lazily in ambient coordinates from a
+    prefix table of this call, at most once per subset.
     """
     n = len(bodies)
     if n == 0:
@@ -67,11 +69,12 @@ def polarize(measures, bodies):
             sums[mask] = minkowski_sum(total_of(mask ^ top), sums[top])
         return sums[mask]
 
-    totals = [ZERO] * len(measures)
+    totals = None
     for mask in range(1, 1 << n):
         summands = [body for i, body in enumerate(bodies) if mask >> i & 1]
-        for j, measure in enumerate(measures):
-            totals[j] += (-1) ** (n - len(summands)) * measure(summands, lambda: total_of(mask))
+        sign = (-1) ** (n - len(summands))
+        values = measure(summands, lambda: total_of(mask))
+        totals = [t + sign * v for t, v in zip(totals or [ZERO] * len(values), values)]
     return tuple(total / factorial(n) for total in totals)
 
 
@@ -90,9 +93,9 @@ def mixed_volume(system: BodySystem):
 
     def measure(summands, total):
         body = total()
-        return volume(body, system.direction) if body.dim >= m else ZERO
+        return (volume(body, system.direction) if body.dim >= m else ZERO,)
 
-    return polarize([measure], system.bodies)[0]
+    return polarize(measure, system.bodies)[0]
 
 
 def mixed_integral(poly: Polynomial, system: BodySystem):
@@ -122,6 +125,6 @@ def mixed_integral(poly: Polynomial, system: BodySystem):
 
     def measure(summands, total):
         body = total()
-        return integrate(poly, body, system.direction) if body.dim >= m else ZERO
+        return (integrate(poly, body, system.direction) if body.dim >= m else ZERO,)
 
-    return polarize([measure], system.bodies)[0]
+    return polarize(measure, system.bodies)[0]

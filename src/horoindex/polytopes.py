@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from math import factorial, gcd, lcm
 from operator import and_, mul
 
@@ -347,13 +347,17 @@ def triangulation(p: Polytope):
     return tuple(tuple(vertices[i] for i in simplex) for simplex in p.fan)
 
 
-def _span_sublattice(p: Polytope, lattice: AffineLattice):
+@lru_cache(maxsize=1024)
+def _lattice_cell(span_basis, pivots, lattice: AffineLattice) -> int:
+    """|det| at the pivots of a basis of the lattice's direction vectors in
+    the span of span_basis: the lattice cell on that span, cached, since
+    polytopes of one span share it.  A failed rank check is not cached."""
     # the rank drops exactly when the span leaves the lattice's direction space
-    sub = lattice.direction_sublattice(list(p.span_basis))
-    if len(sub) != p.dim:
+    sub = lattice.direction_sublattice(list(span_basis))
+    if len(sub) != len(span_basis):
         raise DomainError("polytope span not contained in the lattice's direction space, "
                           "so the lattice does not have full rank on it")
-    return sub
+    return abs(det([[m[i] for i in pivots] for m in sub]))
 
 
 def _simplices(p: Polytope, lattice: AffineLattice):
@@ -371,7 +375,7 @@ def _simplices(p: Polytope, lattice: AffineLattice):
     point both are the 0x0 determinant, 1.
     """
     pivots = p.span_pivots
-    cell = abs(det([[m[i] for i in pivots] for m in _span_sublattice(p, lattice)]))
+    cell = _lattice_cell(p.span_basis, pivots, lattice)
     ints = p.points
     edges = [[w[i] - ints[0][i] for i in pivots] for w in ints]
     out = [([ints[i] for i in simplex], abs(det([edges[i] for i in simplex[1:]])))

@@ -22,16 +22,20 @@ The index of a system of supports is computed by three independent routes:
 
 Exact agreement of the routes is the library's own strongest self-check and
 is enforced by `index_report`.  The polytope routes share one polarization
-pass, and a bounded LRU memo keyed by (route, space, summands' int vertices)
-keeps their subset-sum measures across queries; `memo_info` reads its hits.
-A memo of the same bound keeps each support's moment polytope for the
-Hilbert function, which dilates it for every k without a hull.
+pass, and a bounded LRU memo keyed by (route names, space, summands' int
+vertices) keeps the tuple of their subset-sum measures across queries, so
+each distinct subset is measured once by every route; `memo_info` reads its
+hits.  A memo of the same bound keeps each support's moment polytope, a
+hull of its weights alone; the Hilbert function keeps its own, of that
+polytope in face-lattice coordinates, which it dilates for every k without
+a hull.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, factorial
 
 from .errors import DomainError, RouteDisagreementError, ValidationError
@@ -135,8 +139,9 @@ class SupportSet:
 
 
 def moment_polytope(support: SupportSet) -> Polytope:
-    """Convex hull of the support, in face coordinates."""
-    return hull(support.weights)
+    """Convex hull of the support, in face coordinates, kept per weights in
+    a bounded LRU memo: a `Polytope` is immutable."""
+    return _lru(_moments, support.weights, lambda: hull(support.weights))
 
 
 def product_support(a: SupportSet, b: SupportSet) -> SupportSet:
@@ -164,20 +169,22 @@ def _require_count_integer(value, what: str):
 
 
 _MEMO_BOUND = 1024  # entries per memo; bounded so that memory stays flat over any run
-_memo = OrderedDict()  # (route, space, sorted summand (den, points)) -> measure
+_memo = OrderedDict()  # (route names, space, sorted summand (den, points)) -> measures
 _memo_counts = [0, 0]  # hits, misses
+_moments = OrderedDict()  # support weights -> their hull
 _bodies = OrderedDict()  # support weights -> their hull in face-lattice coordinates
 
 
 def memo_info():
-    """(hits, misses, bound, size) of the memo of subset-sum measures."""
+    """(hits, misses, bound, size) of the memo of subset-sum measures, counted
+    per subset: one lookup gives every route's measure of one subset sum."""
     return (*_memo_counts, _MEMO_BOUND, len(_memo))
 
 
 def memo_clear():
     """Empty the memos and zero the counts."""
-    _memo.clear()
-    _bodies.clear()
+    for memo in (_memo, _moments, _bodies):
+        memo.clear()
     _memo_counts[:] = [0, 0]
 
 
@@ -192,15 +199,6 @@ def _lru(memo, key, compute):
     return memo[key]
 
 
-def _memoized(route: str, space: HorosphericalSpace, measure):
-    """`measure` of a subset sum as a polarize measure, looked up in the memo first."""
-    def lookup(summands, total):
-        key = (route, space, tuple(sorted((body.den, body.points) for body in summands)))
-        _memo_counts[key not in _memo] += 1
-        return _lru(_memo, key, lambda: measure(total()))
-    return lookup
-
-
 def _integral_route(space: HorosphericalSpace):
     """D -> integral of the top Weyl term over D."""
     _, phi = space.weyl_restriction
@@ -209,9 +207,11 @@ def _integral_route(space: HorosphericalSpace):
         lambda body: integrate(phi, body, lattice) if body.dim >= lattice.rank else 0)
 
 
+@lru_cache(maxsize=_MEMO_BOUND)
 def _lift_lattice(space: HorosphericalSpace) -> AffineLattice:
     """Normalizing lattice for lifted polytopes: Lambda(H) (or the face
-    lattice) extended by the free Gelfand-Tsetlin coordinates."""
+    lattice) extended by the free Gelfand-Tsetlin coordinates.  Cached per
+    space, so its rank check runs once."""
     nfree = sum(len(f) for f in free_pattern_entries(space.face))
     total = space.face.dim + nfree
     base = space.measure_lattice()
@@ -244,7 +244,8 @@ def _lift_route(space: HorosphericalSpace):
 def _polarized_indices(space: HorosphericalSpace, supports, *routes):
     """Per route, n! times the polarization of its measure over the moment
     polytopes, n the space's dimension: a count of solutions, so a
-    nonnegative integer.  The routes share one polarization pass."""
+    nonnegative integer.  The routes share one polarization pass, and
+    each subset sum's tuple of measures is looked up in the memo first."""
     routes = [route(space) for route in routes]
     n = space.num_supports
     if len(supports) != n:
@@ -254,8 +255,14 @@ def _polarized_indices(space: HorosphericalSpace, supports, *routes):
         raise DomainError("support belongs to a different space")
     if n == 0:
         return (Q(1),) * len(routes)  # the index on a point
-    values = polarize([_memoized(name, space, measure) for name, measure in routes],
-                      [moment_polytope(s) for s in supports])
+    names = tuple(name for name, _ in routes)
+
+    def measures(summands, total):
+        key = (names, space, tuple(sorted((body.den, body.points) for body in summands)))
+        _memo_counts[key not in _memo] += 1
+        return _lru(_memo, key, lambda: tuple(measure(total()) for _, measure in routes))
+
+    values = polarize(measures, [moment_polytope(s) for s in supports])
     return tuple(_require_count_integer(factorial(n) * value, name)
                  for (name, _), value in zip(routes, values))
 
@@ -279,9 +286,10 @@ def hilbert_function(space: HorosphericalSpace, support: SupportSet, k: int) -> 
     dimensions over the face-lattice points of the k-fold dilated moment
     polytope.  Quotient mode only.
 
-    The moment polytope is kept per support in a bounded LRU memo and
-    dilated by scaling.  A dimension is F / divisor, F the product of the
-    face's `dimension_forms`; `progression_sum` sums it over each slice and
+    The moment polytope is kept per support in a bounded LRU memo of its
+    own, which hulls the weights on a miss, and dilated by scaling.  A
+    dimension is F / divisor, F the product of the face's
+    `dimension_forms`; `progression_sum` sums it over each slice and
     certifies it a positive integer there, or the slice is checked point by
     point, where a remainder or a value <= 0 raises."""
     if space.mode != QUOTIENT_MODE:
@@ -294,7 +302,7 @@ def hilbert_function(space: HorosphericalSpace, support: SupportSet, k: int) -> 
         raise DomainError("Hilbert function argument must be nonnegative")
     forms, divisor = dimension_forms(space.face)
     body = _lru(_bodies, support.weights, lambda: _lattice_body(
-        moment_polytope(support), AffineLattice.standard(space.face.dim)))
+        hull(support.weights), AffineLattice.standard(space.face.dim)))
     total = 0
     for first, step, count in _slices(dilate(body, k)):
         value = progression_sum(forms, first, step, count, divisor)

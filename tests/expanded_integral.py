@@ -14,7 +14,7 @@ from math import factorial
 
 from horoindex import Q
 from horoindex.linalg import det, solve, vsub
-from horoindex.polytopes import _span_sublattice, triangulation
+from horoindex.polytopes import triangulation
 
 
 def simplex_monomial_integral(exponents):
@@ -29,7 +29,7 @@ def simplex_monomial_integral(exponents):
 def solved_jacobians(p, lattice):
     """(simplex, edges, |det|) per simplex of triangulation(p), the
     determinant taken of the edges solved in a basis of the span sublattice."""
-    sub = _span_sublattice(p, lattice)
+    sub = lattice.direction_sublattice(list(p.span_basis))
     cols = [tuple(m[i] for m in sub) for i in range(p.ambient_dim)]
     for simplex in triangulation(p):
         edges = [vsub(v, simplex[0]) for v in simplex[1:]]

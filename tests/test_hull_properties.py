@@ -30,7 +30,7 @@ from horoindex import (AffineLattice, ChamberFace, DomainError, GroupDescriptor,
 from horoindex import polytopes
 from horoindex.gelfand_tsetlin import fiber_vertices
 from horoindex.linalg import det, vsub
-from horoindex.polytopes import _hull_core, _span_sublattice
+from horoindex.polytopes import _hull_core
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -145,7 +145,8 @@ def fraction_volume(p, fan, lattice):
     pivots = p.span_pivots
     if not pivots:
         return ONE
-    cell = abs(fraction_det([[m[i] for i in pivots] for m in _span_sublattice(p, lattice)]))
+    cell = abs(fraction_det([[m[i] for i in pivots]
+                             for m in lattice.direction_sublattice(list(p.span_basis))]))
     total = ZERO
     for simplex in fan:
         v0 = simplex[0]

@@ -1,19 +1,24 @@
 """Property tests of the memo of subset-sum measures behind `index_report`.
 
-The memo keeps each route's measure of a Minkowski subset sum of moment
-polytopes across queries, keyed by (route, space, summand vertices).  A warm
-memo must give the reports a cold one gives; each route must measure every
-distinct subset on its own, so that route agreement stays a check between
-two computations; and the memo must stay within its bound.
+The memo keeps every route's measure of a Minkowski subset sum of moment
+polytopes across queries, one entry per subset keyed by (route names, space,
+summand vertices).  A warm memo must give the reports a cold one gives; each
+route must still measure every distinct subset itself, so that route
+agreement stays a check between two computations; and the memo must stay
+within its bound.
 """
 
+from functools import reduce
 from itertools import combinations
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horoindex import (GENERAL_MODE, AffineLattice, ChamberFace, GroupDescriptor,
                        HorosphericalSpace, SupportSet, index_report, moment_polytope)
+from horoindex import polytopes, spaces
+from horoindex.polytopes import minkowski_sum
 from horoindex.spaces import memo_clear, memo_info
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
@@ -99,8 +104,10 @@ def test_warm_memo_gives_the_cold_reports(batch):
 
 
 def distinct_subsets(supports):
+    """The distinct sub-multisets of the moment polytopes: their sorted
+    vertices -> their Minkowski sum."""
     polytopes = [moment_polytope(s) for s in supports]
-    return {tuple(sorted(p.vertices for p in subset))
+    return {tuple(sorted(p.vertices for p in subset)): reduce(minkowski_sum, subset)
             for size in range(1, len(polytopes) + 1)
             for subset in combinations(polytopes, size)}
 
@@ -110,20 +117,40 @@ def distinct_subsets(supports):
 def test_each_route_measures_each_distinct_subset_once(batch):
     for space, supports in batch:
         memo_clear()
-        index_report(space, supports)
+        with patch.object(spaces, "integrate", wraps=spaces.integrate) as integrate, \
+                patch.object(spaces, "newton_lift", wraps=spaces.newton_lift) as lift:
+            index_report(space, supports)
         hits, misses, _, _ = memo_info()
         n = len(supports)
-        assert misses == 2 * len(distinct_subsets(supports))
-        assert hits + misses == 2 * (2 ** n - 1)
+        subsets = distinct_subsets(supports)
+        assert misses == len(subsets)
+        assert hits + misses == 2 ** n - 1
+        # both routes skip a sum below full dimension, whose measure is 0
+        rank = space.measure_lattice().rank
+        measured = sum(body.dim >= rank for body in subsets.values())
+        assert integrate.call_count == lift.call_count == measured
 
 
 def test_memo_stays_within_its_bound():
     space = HorosphericalSpace.quotient(TORUS)
     _, _, bound, _ = memo_info()
     for k in range(1, bound + 2):
-        # two distinct supports: three subsets, measured by both routes
+        # two distinct supports: three subsets, each one entry for both routes
         index_report(space, [SupportSet(space, ((0, 0), (k, 0))),
                              SupportSet(space, ((0, 0), (0, k)))])
         assert memo_info()[3] <= bound
     hits, misses, _, size = memo_info()
-    assert size == bound and misses == 6 * (bound + 1) and hits == 0
+    assert size == bound and misses == 3 * (bound + 1) and hits == 0
+
+
+def test_a_repeated_report_takes_no_hull(monkeypatch):
+    # warm memos: the moment polytopes and every subset sum's measures
+    space = HorosphericalSpace.quotient(face((2,)))
+    a, b = SupportSet(space, ((0, 0), (2, 0), (1, 1))), SupportSet(space, ((1, 0), (3, 1)))
+    first = index_report(space, [a, b, a])
+
+    def no_hull(coords):
+        raise AssertionError("_hull_core was called")
+
+    monkeypatch.setattr(polytopes, "_hull_core", no_hull)
+    assert index_report(space, [a, b, a]) == first

@@ -13,12 +13,16 @@ same answers.
 
 import itertools
 from math import ceil, floor
+from unittest.mock import patch
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expanded_integral import expanded_integral, solve_volume
-from horoindex import AffineLattice, Polynomial, Q, hull, integrate, lattice_points, volume
+from horoindex import (AffineLattice, DomainError, Polynomial, Q, hull, integrate,
+                       lattice_points, volume)
+from horoindex import polytopes
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -131,3 +135,27 @@ def test_integrate_matches_the_expansion_to_degree_four(data):
     lattice, p = data.draw(lattices_and_polytopes())
     poly = data.draw(polynomials(lattice.ambient_dim, degree=4, terms=6))
     assert integrate(poly, p, lattice) == expanded_integral(poly, p, lattice)
+
+
+@PROPERTY
+@given(st.data())
+def test_cached_and_uncached_lattice_cells_give_equal_measures(data):
+    lattice, p = data.draw(lattices_and_polytopes())
+    poly = data.draw(polynomials(lattice.ambient_dim))
+    cached = volume(p, lattice), integrate(poly, p, lattice)
+    hits = polytopes._lattice_cell.cache_info().hits
+    assert (volume(p, lattice), integrate(poly, p, lattice)) == cached
+    assert polytopes._lattice_cell.cache_info().hits == hits + 2
+    with patch.object(polytopes, "_lattice_cell", polytopes._lattice_cell.__wrapped__):
+        assert (volume(p, lattice), integrate(poly, p, lattice)) == cached
+
+
+def test_a_span_off_the_lattice_raises_on_every_call():
+    # a diagonal segment, measured on the lattice of the first axis
+    p, lattice = hull([(0, 0), (1, 1)]), AffineLattice((0, 0), ((1, 0),))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(DomainError, match="not contained in the lattice") as err:
+            volume(p, lattice)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]

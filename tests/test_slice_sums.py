@@ -11,6 +11,7 @@ the sum of its terms, and `dilate` against `_hull` of the scaled points.
 
 from math import prod
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -152,12 +153,17 @@ def test_dilate_and_a_repeated_hilbert_call_take_no_hull(monkeypatch):
     assert [hilbert_function(space, support, k) for k in range(3)][:2] == [1, first]
 
 
-def test_the_body_memo_stays_within_its_bound(monkeypatch):
+@pytest.mark.parametrize("memo", ["_bodies", "_moments"])
+def test_the_body_memo_stays_within_its_bound(monkeypatch, memo):
+    # the Hilbert function's lattice bodies, and the moment polytopes they come from
     space = SPACES[1]
     monkeypatch.setattr(spaces, "_MEMO_BOUND", 2)
     spaces.memo_clear()
     for top in range(1, 5):
-        hilbert_function(space, SupportSet(space, ((0, 0, 0), (top, 0, 1))), 2)
-        assert len(spaces._bodies) <= 2
+        support = SupportSet(space, ((0, 0, 0), (top, 0, 1)))
+        hilbert_function(space, support, 2)
+        spaces.moment_polytope(support)
+        assert len(getattr(spaces, memo)) <= 2
+    assert len(getattr(spaces, memo)) == 2
     spaces.memo_clear()
-    assert not spaces._bodies
+    assert not getattr(spaces, memo)
