@@ -29,7 +29,9 @@ coordinates (face coordinates, free pattern entries).  Pattern entries that
 the face's block structure pins to a block value are dropped; this is the
 projection convention that keeps degenerate fibers full-dimensional in
 their own coordinate subspace.  A lift is built without a hull, from its
-vertices and its inequalities (`newton_lift`).
+vertices and its inequalities (`newton_lift`); the fiber vertices over a
+point are cached per (face, point), so lifts over shared base vertices
+enumerate each fiber once.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from functools import lru_cache
 
 from .errors import DomainError
 from .polytopes import Polytope, _from_planes, hull
-from .rationals import Q, format_point, is_integral
+from .rationals import Q, exact_point, format_point, is_integral
 from .weyl import ChamberFace
 
 
@@ -132,13 +134,22 @@ def _free_entries(face: ChamberFace):
 
 def fiber_vertices(face: ChamberFace, face_coords):
     """Vertices of the GT fiber over a point of the face, projected to the
-    free pattern coordinates (all GL factors concatenated)."""
+    free pattern coordinates (all GL factors concatenated), as a tuple.
+
+    Cached per (face, point) on the point with its integral entries as
+    ints: `Q(2) == 2` and both hash alike, so a cache keyed on the point as
+    given would hand `Fraction`s to a later int caller."""
+    return _fiber_vertices(face, exact_point(face_coords, "face coordinates"))
+
+
+@lru_cache(maxsize=4096)
+def _fiber_vertices(face: ChamberFace, face_coords):
     weight, pos, per_factor = face.expand(face_coords), 0, []
     for idx, n in zip(_free_entries(face), face.group.gl_factors):
         block, pos = weight[pos:pos + n], pos + n
         vs = _gt_vertices(_check_weight(block))
         per_factor.append(sorted({tuple(v[i] for i in idx) for v in vs}))
-    return [sum(combo, ()) for combo in itertools.product(*per_factor)]
+    return tuple(sum(combo, ()) for combo in itertools.product(*per_factor))
 
 
 @lru_cache(maxsize=None)

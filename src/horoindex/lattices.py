@@ -1,4 +1,14 @@
-"""Affine lattices: offset + integer span of a basis, with exact membership."""
+"""Affine lattices: offset + integer span of a basis, with exact membership.
+
+Membership reads one fraction-free elimination per basis, cached: `bareiss`
+of [B^T | I], B the basis rows, gives d times the rref M [B^T | I] =
+[[I, X], [0, Y]] of it, M = [[X], [Y]] invertible.  So B^T c = v exactly
+when Y v = 0, and then c = X v: a row with its pivot among the first s
+columns (s the rank) gives d c_p = row . v, and each other row a
+consistency condition row . v = 0, all in ints for an int v.  The same
+elimination checks that the basis is independent, so a lattice built again
+from a basis it has seen takes no elimination.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +17,22 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import DomainError, check_length
-from .linalg import integer_kernel, nullspace, primitive, rank, solve, vsub
+from .linalg import bareiss, integer_kernel, nullspace, primitive, vsub
 from .rationals import Q, exact_point, is_integral
+
+
+@lru_cache(maxsize=1024)
+def _elimination(basis, n):
+    """(d, coordinate rows, condition rows) of `bareiss` of [B^T | I], the
+    rows cut to their last n entries; None if the basis is dependent."""
+    s = len(basis)
+    rows, pivots = bareiss([tuple(b[i] for b in basis) + tuple(int(i == j) for j in range(n))
+                            for i in range(n)])
+    if sum(p < s for p in pivots) != s:
+        return None
+    d = rows[-1][pivots[-1]] if pivots else 1
+    return (d, tuple(row[s:] for row, p in zip(rows, pivots) if p < s),
+            tuple(primitive(row[s:]) for row, p in zip(rows, pivots) if p >= s))
 
 
 @dataclass(frozen=True)
@@ -32,7 +56,7 @@ class AffineLattice:
         object.__setattr__(self, "basis", basis)
         if any(len(b) != len(offset) for b in basis):
             raise DomainError("lattice offset/basis dimension mismatch")
-        if basis and rank(basis) != len(basis):
+        if _elimination(basis, len(offset)) is None:
             raise DomainError("lattice basis vectors must be linearly independent")
 
     @classmethod
@@ -52,14 +76,24 @@ class AffineLattice:
         return len(self.basis)
 
     def _solve(self, vec):
-        """Rational c with basis^T c = vec, or None when vec is off the span."""
-        if not self.basis:
-            return () if all(x == 0 for x in vec) else None
-        cols = [tuple(b[i] for b in self.basis) for i in range(self.ambient_dim)]
-        return solve(cols, vec)
+        """c with basis^T c = vec, integral entries as ints, or None when vec
+        is off the span: from the cached elimination of the basis."""
+        d, solve_rows, conditions = _elimination(self.basis, self.ambient_dim)
+        if any(sum(map(mul, row, vec)) for row in conditions):
+            return None
+        out = []
+        for row in solve_rows:
+            x = sum(map(mul, row, vec))
+            if type(x) is int and x % d == 0:
+                out.append(x // d)
+            else:
+                x = Q(x, d)
+                out.append(x.numerator if x.denominator == 1 else x)
+        return tuple(out)
 
     def coordinates(self, point):
-        """Rational coordinates c with offset + basis^T c = point, or None."""
+        """Coordinates c with offset + basis^T c = point, or None: ints where
+        integral, `Fraction`s elsewhere."""
         check_length(point, self.ambient_dim)
         return self._solve(vsub(point, self.offset))
 

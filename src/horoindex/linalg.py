@@ -9,9 +9,9 @@ Every elimination runs on Python ints.  `common_denominator` and `scaled`
 turn rational rows into integer ones (int rows pass as they are); `bareiss`
 is the one Gauss-Jordan elimination, fraction-free (Bareiss 1968: every
 intermediate entry is a minor of the input, so each division is exact), and
-`primitive` divides out a gcd.  `rref`, `rank`, `solve` and `nullspace`
-read their results off the `bareiss` form: rref is it divided by its last
-pivot, and the kernel basis is integer.  `extend_echelon` reduces one row
+`primitive` divides out a gcd.  `rref`, `rank` and `nullspace` read their
+results off the `bareiss` form: rref is it divided by its last pivot, and
+the kernel basis is integer.  `extend_echelon` reduces one row
 at a time, so a rank test can stop early; the hull calls it and, for its
 first simplex only, `normal_vector`.  `det` keeps its own elimination.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .rationals import Q, ZERO
+from .rationals import Q
 
 
 def vsub(u, v):
@@ -96,24 +96,6 @@ def rref(rows):
 
 def rank(rows) -> int:
     return len(bareiss(_integer_rows(rows))[1])
-
-
-def solve(rows, rhs):
-    """Solve A x = b exactly.  Returns a solution tuple or None.
-
-    Free variables (if any) are set to zero, so the result is deterministic.
-    """
-    mat = [list(r) + [b] for r, b in zip(rows, rhs)]
-    if not mat:
-        return ()
-    ncols = len(rows[0])
-    reduced, pivots = rref(mat)
-    sol = [ZERO] * ncols
-    for row, p in zip(reduced, pivots):
-        if p == ncols:  # 0 = nonzero: inconsistent
-            return None
-        sol[p] = row[-1]
-    return tuple(sol)
 
 
 def nullspace(rows):

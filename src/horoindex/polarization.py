@@ -23,6 +23,7 @@ from math import factorial
 
 from .errors import DomainError
 from .lattices import AffineLattice
+from .linalg import common_denominator
 from .polynomials import Polynomial, integrate
 from .polytopes import minkowski_sum, volume
 from .rationals import Q, ZERO
@@ -69,13 +70,20 @@ def polarize(measure, bodies):
             sums[mask] = minkowski_sum(total_of(mask ^ top), sums[top])
         return sums[mask]
 
-    totals = None
+    signs, rows = [], []
     for mask in range(1, 1 << n):
         summands = [body for i, body in enumerate(bodies) if mask >> i & 1]
-        sign = (-1) ** (n - len(summands))
-        values = measure(summands, lambda: total_of(mask))
-        totals = [t + sign * v for t, v in zip(totals or [ZERO] * len(values), values)]
-    return tuple(total / factorial(n) for total in totals)
+        signs.append(-1 if (n - len(summands)) % 2 else 1)
+        rows.append(measure(summands, lambda: total_of(mask)))
+    return tuple(_signed_sum(signs, values, factorial(n)) for values in zip(*rows))
+
+
+def _signed_sum(signs, values, divisor):
+    """sum(sign * value) / divisor, summed in ints over the values' common
+    denominator, so that it makes one Fraction."""
+    den = common_denominator(values)
+    return Q(sum(sign * v.numerator * (den // v.denominator) for sign, v in zip(signs, values)),
+             den * divisor)
 
 
 def mixed_volume(system: BodySystem):

@@ -2,8 +2,9 @@
 
 A Polytope stores its sorted extreme vertices times `den`, their least
 common denominator, as int tuples `points`; (den, points) is canonical and
-backs `==`, `hash` and the memo in `spaces`, and `vertices` reads it back
-as rationals.  It also stores its span basis, facets and fan.
+backs `==`, `hash` (taken once, at construction) and the memo in `spaces`,
+and `vertices` reads it back as rationals.  It also stores its span basis,
+facets and fan.
 Degenerate (lower-dimensional) polytopes are first class: every volume or
 integral is taken relative to the affine span, normalized to a caller-chosen
 lattice.
@@ -55,6 +56,10 @@ class Polytope:
     facets: tuple              # ((integer normal, integer offset), ...) in span coords
     fan: tuple                 # triangulation: (dim+1)-tuples of vertex indices from 0
 
+    def __post_init__(self):
+        # immutable, so hashed once: memo keys made of polytopes hash cheaply
+        object.__setattr__(self, "_hash", hash((self.den, self.points)))
+
     @property
     def vertices(self):
         """Sorted tuple of the vertices, as tuples of rationals."""
@@ -92,11 +97,11 @@ class Polytope:
         return all(sum(map(mul, n, coords)) <= b for n, b in self.facets)
 
     def __eq__(self, other):
-        return (isinstance(other, Polytope) and self.den == other.den
-                and self.points == other.points)
+        return self is other or (isinstance(other, Polytope) and self._hash == other._hash
+                                 and self.den == other.den and self.points == other.points)
 
     def __hash__(self):
-        return hash((self.den, self.points))
+        return self._hash
 
     def __repr__(self):
         return f"Polytope(dim={self.dim}, vertices={len(self.points)})"

@@ -7,6 +7,9 @@ vertices as ints over one denominator, scaled once in `polytopes.hull`;
 the kernel and the three routes compute on ints.  The helpers below accept
 ints too, which carry numerator and denominator; `exact_point` checks
 input points, turning integral entries into ints and rejecting floats.
+Inputs stay ints from the start: JSON ints parse to ints
+(`serialization.rat_from_json`), and an all-int point passes through
+`exact_point` as it is.
 """
 
 from fractions import Fraction as Q
@@ -19,7 +22,10 @@ ZERO = Q(0)
 
 def exact_point(v, what):
     """v with its integral entries as ints and the others as Fractions; a
-    float is rejected by name, and any other entry goes through Q."""
+    float is rejected by name, and any other entry goes through Q.  An
+    all-int tuple is returned as it is."""
+    if type(v) is tuple and all(type(x) is int for x in v):
+        return v
     for x in v:
         if isinstance(x, float):
             raise DomainError(f"{what} must be ints or Fractions, not the float {x!r}")

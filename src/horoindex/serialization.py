@@ -1,7 +1,10 @@
 """JSON wire formats.
 
 Rationals travel as "p/q" strings (plain integers allowed on input); floats
-are rejected everywhere.  Every emitted object re-parses to an equal value.
+are rejected everywhere.  A JSON int parses to an int, so integer input
+stays in ints; a string parses to a `Fraction`, which the constructors
+turn into an int where it is integral.  Every emitted object re-parses to
+an equal value.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ def rat_from_json(value):
     if isinstance(value, bool) or isinstance(value, float):
         raise DomainError(f"rationals must be integers or 'p/q' strings, got {value!r}")
     if isinstance(value, int):
-        return Q(value)
+        return value
     if isinstance(value, str):
         try:
             return Q(value.strip())

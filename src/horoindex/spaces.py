@@ -22,13 +22,19 @@ The index of a system of supports is computed by three independent routes:
 
 Exact agreement of the routes is the library's own strongest self-check and
 is enforced by `index_report`.  The polytope routes share one polarization
-pass, and a bounded LRU memo keyed by (route names, space, summands' int
-vertices) keeps the tuple of their subset-sum measures across queries, so
-each distinct subset is measured once by every route; `memo_info` reads its
-hits.  A memo of the same bound keeps each support's moment polytope, a
-hull of its weights alone; the Hilbert function keeps its own, of that
-polytope in face-lattice coordinates, which it dilates for every k without
-a hull.
+pass over the moment polytopes moved along the center of G: each GL
+factor's block coordinates less the first vertex's last block coordinate,
+and its torus coordinates less the first vertex's.  Both measures are
+unchanged by such a move, as the top Weyl term reads only differences of
+block coordinates within one factor and GT(l + c 1) = GT(l) + c 1, so
+supports that differ by a central translation share their subset sums.  A
+bounded LRU memo keyed by (route names, space, summands) keeps the tuple of
+the routes' measures of each subset sum across queries, so each distinct
+subset, up to central translation, is measured once by every route;
+`memo_info` reads its hits.  A memo of the same bound keeps moment
+polytopes, each a hull of its weights alone, a support's central translate
+among them; the Hilbert function keeps its own, of that polytope in
+face-lattice coordinates, which it dilates for every k without a hull.
 """
 
 from __future__ import annotations
@@ -66,6 +72,11 @@ class HorosphericalSpace:
             raise DomainError("Lambda(H) is a lattice, not a coset: offset must be zero")
         if self.mode == QUOTIENT_MODE and self.lambda_h.rank != self.face.dim:
             raise DomainError("quotient mode requires Lambda(H) = the full face lattice")
+        # immutable, so hashed once: every memo key holds the space
+        object.__setattr__(self, "_hash", hash((self.face, self.lambda_h, self.mode)))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def quotient(cls, face: ChamberFace) -> "HorosphericalSpace":
@@ -111,7 +122,7 @@ class SupportSet:
         for w in pts:
             if len(w) != self.space.face.dim:
                 raise DomainError("support weight has wrong face dimension")
-            if any(not is_integral(x) for x in w):
+            if any(type(x) is not int for x in w):  # exact_point made integral entries ints
                 raise DomainError(f"support weight {format_point(w)} is not integral")
             if not self.space.face.face_contains_coords(w):
                 raise DomainError(f"support weight {format_point(w)} is not dominant "
@@ -169,16 +180,18 @@ def _require_count_integer(value, what: str):
 
 
 _MEMO_BOUND = 1024  # entries per memo; bounded so that memory stays flat over any run
-_memo = OrderedDict()  # (route names, space, sorted summand (den, points)) -> measures
-_memo_counts = [0, 0]  # hits, misses
+_memo = OrderedDict()  # (route names, space, summands sorted by hash) -> measures
+_memo_counts = [0, 0]  # lookups, misses
 _moments = OrderedDict()  # support weights -> their hull
 _bodies = OrderedDict()  # support weights -> their hull in face-lattice coordinates
+_MISSING = object()
 
 
 def memo_info():
     """(hits, misses, bound, size) of the memo of subset-sum measures, counted
     per subset: one lookup gives every route's measure of one subset sum."""
-    return (*_memo_counts, _MEMO_BOUND, len(_memo))
+    lookups, misses = _memo_counts
+    return lookups - misses, misses, _MEMO_BOUND, len(_memo)
 
 
 def memo_clear():
@@ -189,29 +202,48 @@ def memo_clear():
 
 
 def _lru(memo, key, compute):
-    """memo[key], from compute() on a miss, evicting the least recently used."""
-    if key in memo:
-        memo.move_to_end(key)
-    else:
-        memo[key] = compute()
+    """memo[key], from compute() on a miss, evicting the least recently used;
+    a hit hashes the key twice, to find it and to move it to the end."""
+    value = memo.get(key, _MISSING)
+    if value is _MISSING:
+        value = memo[key] = compute()
         if len(memo) > _MEMO_BOUND:
             memo.popitem(last=False)
-    return memo[key]
+    else:
+        memo.move_to_end(key)
+    return value
 
 
+def _centered_polytope(support: SupportSet) -> Polytope:
+    """The hull of the support's weights less the central part of the
+    first: per GL factor its last block coordinate, taken from all of the
+    factor's block coordinates, and its torus coordinates, taken from
+    theirs.  It is kept in the moment-polytope memo under the moved
+    weights, so supports that are central translates of each other share
+    one hull."""
+    face, weights = support.space.face, support.weights
+    reference, end = [], 0
+    for sizes in face.blocks:
+        end += len(sizes)
+        reference += [end - 1] * len(sizes)
+    reference += range(end, face.dim)
+    shift = [weights[0][j] for j in reference]
+    moved = tuple(tuple(x - t for x, t in zip(w, shift)) for w in weights)
+    return _lru(_moments, moved, lambda: hull(moved))
+
+
+@lru_cache(maxsize=_MEMO_BOUND)
 def _integral_route(space: HorosphericalSpace):
-    """D -> integral of the top Weyl term over D."""
+    """D -> integral of the top Weyl term over D, built once per space."""
     _, phi = space.weyl_restriction
     lattice = space.measure_lattice()
     return "mixed-integral route", (
         lambda body: integrate(phi, body, lattice) if body.dim >= lattice.rank else 0)
 
 
-@lru_cache(maxsize=_MEMO_BOUND)
 def _lift_lattice(space: HorosphericalSpace) -> AffineLattice:
     """Normalizing lattice for lifted polytopes: Lambda(H) (or the face
-    lattice) extended by the free Gelfand-Tsetlin coordinates.  Cached per
-    space, so its rank check runs once."""
+    lattice) extended by the free Gelfand-Tsetlin coordinates."""
     nfree = sum(len(f) for f in free_pattern_entries(space.face))
     total = space.face.dim + nfree
     base = space.measure_lattice()
@@ -222,8 +254,10 @@ def _lift_lattice(space: HorosphericalSpace) -> AffineLattice:
     return AffineLattice((0,) * total, tuple(basis))
 
 
+@lru_cache(maxsize=_MEMO_BOUND)
 def _lift_route(space: HorosphericalSpace):
-    """D -> volume of the Gelfand-Tsetlin lift of D."""
+    """D -> volume of the Gelfand-Tsetlin lift of D, built once per space,
+    so the rank check of its lattice runs once."""
     lattice = _lift_lattice(space)
     if lattice.rank != space.num_supports:
         raise DomainError(f"lift direction space has rank {lattice.rank}, "
@@ -244,8 +278,10 @@ def _lift_route(space: HorosphericalSpace):
 def _polarized_indices(space: HorosphericalSpace, supports, *routes):
     """Per route, n! times the polarization of its measure over the moment
     polytopes, n the space's dimension: a count of solutions, so a
-    nonnegative integer.  The routes share one polarization pass, and
-    each subset sum's tuple of measures is looked up in the memo first."""
+    nonnegative integer.  The routes share one polarization pass over the
+    central translates of the moment polytopes, which every measure takes
+    to the same values, and each subset sum's tuple of measures is looked
+    up in the memo first."""
     routes = [route(space) for route in routes]
     n = space.num_supports
     if len(supports) != n:
@@ -258,11 +294,16 @@ def _polarized_indices(space: HorosphericalSpace, supports, *routes):
     names = tuple(name for name, _ in routes)
 
     def measures(summands, total):
-        key = (names, space, tuple(sorted((body.den, body.points) for body in summands)))
-        _memo_counts[key not in _memo] += 1
-        return _lru(_memo, key, lambda: tuple(measure(total()) for _, measure in routes))
+        def compute():
+            _memo_counts[1] += 1
+            return tuple(measure(total()) for _, measure in routes)
 
-    values = polarize(measures, [moment_polytope(s) for s in supports])
+        # a polytope's hash is stored, so it orders summands cheaply; equal
+        # hashes of unequal polytopes only cost a second entry
+        _memo_counts[0] += 1
+        return _lru(_memo, (names, space, tuple(sorted(summands, key=hash))), compute)
+
+    values = polarize(measures, [_centered_polytope(s) for s in supports])
     return tuple(_require_count_integer(factorial(n) * value, name)
                  for (name, _), value in zip(routes, values))
 

@@ -13,7 +13,8 @@ integer determinants at the span pivots.
 from math import factorial
 
 from horoindex import Q
-from horoindex.linalg import det, solve, vsub
+from bareiss_solve import solve
+from horoindex.linalg import det, vsub
 from horoindex.polytopes import triangulation
 
 

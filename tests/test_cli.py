@@ -135,6 +135,23 @@ def test_gc_gl0_is_rejected(capsys, extra):
     assert json.loads(err)["error"] == "validation"
 
 
+@pytest.mark.parametrize("bad", [1.0, True])
+@pytest.mark.parametrize("where", ["weight", "lattice", "group"])
+def test_a_float_or_bool_number_exits_3_by_name(tmp_path, capsys, bad, where):
+    problem = json.loads(json.dumps(BEZOUT_PROBLEM))
+    if where == "weight":
+        problem["supports"][0][1][0] = bad
+    elif where == "lattice":
+        problem["lambda_H"]["basis"][0][0] = bad
+    else:
+        problem["group"]["gl"][0] = bad
+    code, out, err = run_cli(["index", write(tmp_path, "problem.json", problem)], capsys)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "validation",
+        "detail": f"rationals must be integers or 'p/q' strings, got {bad!r}"}
+
+
 def test_mixed_volume(tmp_path, capsys):
     tri = {"vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}
     path = write(tmp_path, "bodies.json", {"bodies": [tri, tri]})

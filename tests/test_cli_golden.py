@@ -18,11 +18,17 @@ subset sum is a point; and `moment` and `index` of the README's
 general-mode Bezout problem, whose moment polytopes are segments.  To capture the expected text again, run
 `PYTHONPATH=src python tests/test_cli_golden.py --write`; a change of output
 is then a reviewed diff of the `.out` files.
+
+The same text must come out whichever way the input spells its numbers: a
+JSON int, an integral string such as "4/2", or a non-integral "p/q" string
+not in lowest terms.
 """
 
 import contextlib
 import io
+import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -75,6 +81,45 @@ def run_case(argv):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stdout_matches_golden_text(case):
     assert run_case(CASES[case]) == (GOLDEN / f"{case}.out").read_text()
+
+
+def respelled(value, spell):
+    """A JSON value with each number, and each string that reads as one,
+    replaced by spell(its Fraction)."""
+    if isinstance(value, list):
+        return [respelled(v, spell) for v in value]
+    if isinstance(value, dict):
+        return {k: respelled(v, spell) for k, v in value.items()}
+    if isinstance(value, int) and not isinstance(value, bool):
+        return spell(Fraction(value))
+    if isinstance(value, str):
+        try:
+            return spell(Fraction(value))
+        except ValueError:
+            return value
+    return value
+
+
+SPELLINGS = {
+    # every number as an integral or a non-integral string not in lowest terms
+    "strings": lambda q: f"{2 * q.numerator}/{2 * q.denominator}",
+    # every integral number as a JSON int, the others as "p/q"
+    "ints": lambda q: q.numerator if q.denominator == 1 else f"{q.numerator}/{q.denominator}",
+}
+
+
+@pytest.mark.parametrize("spelling", sorted(SPELLINGS))
+@pytest.mark.parametrize("case", sorted(c for c, argv in CASES.items()
+                                        if any(a.endswith(".json") for a in argv)))
+def test_stdout_does_not_depend_on_how_numbers_are_spelled(case, spelling, tmp_path):
+    argv = []
+    for a in CASES[case]:
+        if a.endswith(".json"):
+            obj = respelled(json.loads((GOLDEN / a).read_text()), SPELLINGS[spelling])
+            (tmp_path / a).write_text(json.dumps(obj))
+            a = str(tmp_path / a)
+        argv.append(a)
+    assert run_case(argv) == (GOLDEN / f"{case}.out").read_text()
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:

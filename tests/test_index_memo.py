@@ -2,10 +2,13 @@
 
 The memo keeps every route's measure of a Minkowski subset sum of moment
 polytopes across queries, one entry per subset keyed by (route names, space,
-summand vertices).  A warm memo must give the reports a cold one gives; each
-route must still measure every distinct subset itself, so that route
-agreement stays a check between two computations; and the memo must stay
-within its bound.
+summands).  The summands are the moment polytopes moved along the center of
+G, so supports that are central translates of each other share entries.  A
+warm memo must give the reports a cold one gives; each route must still
+measure every distinct subset, up to central translation, itself, so that
+route agreement stays a check between two computations; a query's central
+translate must give its report with no measure taken; and the memo must
+stay within its bound.
 """
 
 from functools import reduce
@@ -16,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horoindex import (GENERAL_MODE, AffineLattice, ChamberFace, GroupDescriptor,
-                       HorosphericalSpace, SupportSet, index_report, moment_polytope)
+                       HorosphericalSpace, SupportSet, hull, index_report)
 from horoindex import polytopes, spaces
 from horoindex.polytopes import minkowski_sum
 from horoindex.spaces import memo_clear, memo_info
@@ -103,10 +106,27 @@ def test_warm_memo_gives_the_cold_reports(batch):
         assert index_report(space, supports) == report
 
 
+def central_part(f, point):
+    """The central part of a face point: per GL factor its last block
+    coordinate on each of the factor's blocks, and its torus coordinates."""
+    shift, end = [], 0
+    for sizes in f.blocks:
+        end += len(sizes)
+        shift += [point[end - 1]] * len(sizes)
+    return tuple(shift) + tuple(point[end:])
+
+
+def centered(support):
+    """The support's weights less the central part of the first weight."""
+    shift = central_part(support.space.face, support.weights[0])
+    return [tuple(x - t for x, t in zip(w, shift)) for w in support.weights]
+
+
 def distinct_subsets(supports):
-    """The distinct sub-multisets of the moment polytopes: their sorted
-    vertices -> their Minkowski sum."""
-    polytopes = [moment_polytope(s) for s in supports]
+    """The distinct sub-multisets of the moment polytopes up to central
+    translation, each polytope moved so that its first vertex has no
+    central part: their sorted vertices -> their Minkowski sum."""
+    polytopes = [hull(centered(s)) for s in supports]
     return {tuple(sorted(p.vertices for p in subset)): reduce(minkowski_sum, subset)
             for size in range(1, len(polytopes) + 1)
             for subset in combinations(polytopes, size)}
@@ -129,6 +149,34 @@ def test_each_route_measures_each_distinct_subset_once(batch):
         rank = space.measure_lattice().rank
         measured = sum(body.dim >= rank for body in subsets.values())
         assert integrate.call_count == lift.call_count == measured
+
+
+@st.composite
+def central_translates(draw):
+    """A quotient or general query, and the same query with every support
+    moved by one central integer vector: a constant per GL factor, any
+    integers on the torus."""
+    space, supports = draw(st.one_of(quotient_query(), general_queries()))[0]
+    f = space.face
+    shift = []
+    for sizes in f.blocks:
+        shift += [draw(st.integers(-3, 3))] * len(sizes)
+    shift += draw(st.lists(st.integers(-3, 3), min_size=f.group.torus_rank,
+                           max_size=f.group.torus_rank))
+    moved = [SupportSet(space, tuple(tuple(x + t for x, t in zip(w, shift))
+                                     for w in s.weights)) for s in supports]
+    return space, supports, moved
+
+
+@PROPERTY
+@given(central_translates())
+def test_a_central_translate_gives_the_report_with_no_measure_taken(case):
+    space, supports, moved = case
+    report = index_report(space, supports)
+    with patch.object(spaces, "integrate", wraps=spaces.integrate) as integrate, \
+            patch.object(spaces, "newton_lift", wraps=spaces.newton_lift) as lift:
+        assert index_report(space, moved) == report
+    assert integrate.call_count == lift.call_count == 0
 
 
 def test_memo_stays_within_its_bound():

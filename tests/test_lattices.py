@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import fraction_kernel as oracle
 from horoindex import AffineLattice, DomainError, Q
 
 
@@ -98,3 +101,43 @@ def test_a_float_entry_is_rejected_by_name(offset, basis, bad):
 def test_a_fractional_basis_entry_is_rejected():
     with pytest.raises(DomainError, match="basis entries must be integers"):
         AffineLattice((0, 0), ((Q(1, 2), 0),))
+
+
+@st.composite
+def lattices_and_vectors(draw):
+    """A lattice of rank 0..n in Q^n, n <= 4, with a rational offset and a
+    basis of index often > 1, and a vector of one kind: a lattice point, a
+    point of the span with non-integral coordinates, or a vector that is
+    most likely off the span (and is on it when the rank is n)."""
+    n = draw(st.integers(1, 4))
+    rank = draw(st.integers(0, n))
+    scale = draw(st.sampled_from([1, 1, 2, 3]))
+    basis = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+                          .map(lambda b: tuple(scale * x for x in b)),
+                          min_size=rank, max_size=rank))
+    assume(len(oracle.rref(basis)[0]) == rank)
+    rational = st.builds(Q, st.integers(-5, 5), st.sampled_from([1, 2, 3]))
+    offset = tuple(draw(st.lists(rational, min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["point", "span", "off"]))
+    if kind == "off":
+        return AffineLattice(offset, basis), tuple(draw(st.lists(rational, min_size=n,
+                                                                  max_size=n)))
+    coeffs = draw(st.lists(st.integers(-3, 3) if kind == "point" else rational,
+                           min_size=rank, max_size=rank))
+    vector = tuple(sum((c * b[i] for c, b in zip(coeffs, basis)), Q(0)) for i in range(n))
+    return AffineLattice(offset, basis), vector
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(lattices_and_vectors())
+def test_membership_matches_the_fraction_kernel(case):
+    lat, vec = case
+    cols = [tuple(b[i] for b in lat.basis) for i in range(lat.ambient_dim)]
+    point = tuple(o + x for o, x in zip(lat.offset, vec))
+    expected = oracle.solve(cols, vec)
+    assert lat.coordinates(point) == expected
+    assert lat.direction_contains(vec) == (expected is not None)
+    assert lat.contains(point) == (expected is not None
+                                   and all(c.denominator == 1 for c in expected))
+    coords = lat.coordinates(point) or ()
+    assert all(type(c) is int for c in coords if c.denominator == 1)

@@ -6,14 +6,21 @@ interlacing rows.  `polytopes._from_planes` builds the polytope from them
 with no hull.  The oracle here is the hull of the same candidate points:
 both must give the same vertices, denominator, span, facets, fan and
 volumes.
+
+The memo of subset-sum measures in `spaces` rests on both measures of a
+base, the integral of the top Weyl term and the volume of its lift, being
+unchanged by a central translation; the tests below check that premise on
+the same faces and bases, and that a translation off the center does move
+the integral.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from horoindex import (AffineLattice, ChamberFace, DomainError, GroupDescriptor, Q,
-                       dilate, hull, newton_lift, pattern_positions, volume)
+                       dilate, hull, integrate, newton_lift, pattern_positions,
+                       restricted_weyl, volume)
 from horoindex import polytopes
 from horoindex.gelfand_tsetlin import fiber_vertices, free_pattern_entries, interlacing_rows
 from horoindex.polytopes import _from_planes
@@ -99,6 +106,59 @@ def lattices(n):
     """Z^n and its index-2 sublattice 2Z x Z^(n-1)."""
     unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     return AffineLattice.standard(n), AffineLattice((0,) * n, [(2,) + unit[0][1:]] + unit[1:])
+
+
+def moved(base, t):
+    return hull([tuple(x + y for x, y in zip(v, t)) for v in base.vertices])
+
+
+@st.composite
+def central_vectors(draw, f):
+    """An integer vector along the center: a constant per GL factor on all
+    of its blocks, and any integers on the torus."""
+    t = []
+    for sizes in f.blocks:
+        t += [draw(st.integers(-3, 3))] * len(sizes)
+    return tuple(t) + tuple(draw(st.lists(st.integers(-3, 3), min_size=f.group.torus_rank,
+                                          max_size=f.group.torus_rank)))
+
+
+@pytest.mark.parametrize("f", FACES)
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(data=st.data())
+def test_measures_are_unchanged_by_a_central_translation(f, data):
+    base, t = data.draw(bases(f)), data.draw(central_vectors(f))
+    phi, there = restricted_weyl(f)[1], moved(base, t)
+    for lattice in lattices(f.dim):
+        assert integrate(phi, there, lattice) == integrate(phi, base, lattice)
+    lift, lift_there = newton_lift(f, base), newton_lift(f, there)
+    for lattice in lattices(lift.ambient_dim):
+        assert volume(lift_there, lattice) == volume(lift, lattice)
+
+
+@pytest.mark.parametrize("f", [f for f in FACES if any(len(b) > 1 for b in f.blocks)])
+def test_a_translation_off_the_center_moves_the_integral(f):
+    phi, lattice = restricted_weyl(f)[1], AffineLattice.standard(f.dim)
+
+    def moves(case):
+        base, t = case
+        return integrate(phi, moved(base, t), lattice) != integrate(phi, base, lattice)
+
+    off_center = st.lists(st.integers(-3, 3), min_size=f.dim, max_size=f.dim).map(tuple)
+    # the first example found is enough: no shrinking
+    find(st.tuples(bases(f), off_center), moves,
+         settings=settings(derandomize=True, deadline=None, max_examples=200,
+                           database=None, phases=(Phase.generate,)))
+
+
+def test_fiber_vertices_are_ints_for_an_integral_fraction_point():
+    # points no other test lifts, so the Fraction call comes first in the cache
+    for f in FACES:
+        for point in ((97,) * f.dim, tuple(range(f.dim + 90, 90, -1))):
+            as_fractions = fiber_vertices(f, tuple(Q(x) for x in point))
+            as_ints = fiber_vertices(f, point)
+            assert as_ints == as_fractions
+            assert all(type(x) is int for v in as_ints + as_fractions for x in v)
 
 
 def test_newton_lift_takes_no_hull(monkeypatch):

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
+from bareiss_solve import solve
 from fraction_kernel import dot
 from horoindex import linalg
-from horoindex.linalg import (det, extend_echelon, integer_kernel, nullspace, rank, rref,
-                              solve)
+from horoindex.linalg import det, extend_echelon, integer_kernel, nullspace, rank, rref
 from horoindex.rationals import Q
 
 

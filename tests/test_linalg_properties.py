@@ -1,7 +1,8 @@
 """Property tests: the rational helpers that `linalg` derives from its one
 fraction-free elimination against the `Fraction` Gauss-Jordan kernel.
 
-`rref`, `rank` and `solve` must equal the oracle exactly.  `nullspace`
+`rref`, `rank` and `solve` must equal the oracle exactly; `solve` is the
+`rref`-based solver of `bareiss_solve`, which `expanded_integral` uses.  `nullspace`
 returns an integer basis instead of the canonical rational one, so it must
 have the oracle's length and span the oracle's kernel.  `normal_vector`
 takes integer rows; on the rows scaled to ints, which keeps the kernel, it
@@ -14,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_kernel as oracle
+from bareiss_solve import solve
 from horoindex import Q
 from horoindex.linalg import (common_denominator, normal_vector, nullspace, rank,
-                              rref, scaled, solve)
+                              rref, scaled)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=400)
 
