@@ -17,13 +17,16 @@ pulling triangulation of `_pulling_fan`, from vertex 0, the same way in every
 dimension: volumes and integrals need no low-dimensional case.
 
 `hull` is the one place where rationals become ints: it rejects floats and
-scales its points once by their common denominator.  `_hull`, which
-`hull` and `minkowski_sum` call on stored ints, eliminates only for the
-span and the first simplex's facets: later facet planes come from the
-pencil of the two planes through a ridge, extreme vertices from a rank
-test.  Two builders take no hull: `dilate` scales the points and facet
-offsets, keeping the fan, and `newton_lift` knows its vertices and a superset
-of its facets and calls `_from_planes`.  Volumes take int determinants.
+scales its points once by their common denominator.  `_hull`, which `hull`
+calls on those ints, eliminates only for the span and the first simplex's
+facets: later facet planes come from the pencil of the two planes through a
+ridge, extreme vertices from a rank test.  Three builders take no hull:
+`minkowski_sum` in the plane merges the summands' edge sequences by angle,
+and falls back to `_hull` of the pairwise sums only for a segment, a point
+or a sum in another dimension; `dilate` scales the points and facet
+offsets, keeping the fan; and `newton_lift` knows its vertices and a
+superset of its facets and calls `_from_planes`.  Volumes take int
+determinants.
 
 Lattice points are enumerated by slices in lattice coordinates: all span
 pivots but the last range over the bounding box, and the facet inequalities
@@ -317,12 +320,93 @@ def _from_planes(points, den, planes) -> Polytope:
 
 
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
+    """p + q, equal to `_hull` of the pairwise sums in every stored field.
+
+    In the plane the sum takes no hull: its boundary is the merge of the
+    summands' edge sequences by angle (Fukuda, J. Symb. Comp. 2004), and
+    each edge is a facet whose two ends are its vertex set.  A walk of
+    fewer than 3 vertices, a segment or a point, and a sum in any other
+    dimension fall back to `_hull` of the |p| |q| candidate sums."""
     if p.ambient_dim != q.ambient_dim:
         raise DomainError("Minkowski sum of polytopes in different ambient spaces")
     den = lcm(p.den, q.den)
     a, b = den // p.den, den // q.den
-    return _hull(sorted({tuple(a * x + b * y for x, y in zip(v, w))
-                         for v in p.points for w in q.points}), den)
+    ps = [tuple(a * x for x in v) for v in p.points]
+    qs = [tuple(b * x for x in v) for v in q.points]
+    if p.ambient_dim == 2:
+        ring = _planar_sum(_ring(ps), _ring(qs))
+        if len(ring) >= 3:
+            return _polygon(ring, den)
+    return _hull(sorted({tuple(x + y for x, y in zip(v, w)) for v in ps for w in qs}), den)
+
+
+def _ring(points):
+    """The sorted vertices of a plane polytope, all extreme, counter-clockwise
+    from the lowest (y, x): the chord from the first to the last splits them
+    into a lower chain, in sorted order, and an upper one, in reverse."""
+    if len(points) == 1:
+        return points
+    (x0, y0), (x1, y1) = points[0], points[-1]
+    lower, upper = [], []
+    for v in points[1:-1]:
+        (lower if (x1 - x0) * (v[1] - y0) < (y1 - y0) * (v[0] - x0) else upper).append(v)
+    ring = [points[0], *lower, points[-1], *reversed(upper)]
+    k = min(range(len(ring)), key=lambda i: (ring[i][1], ring[i][0]))
+    return ring[k:] + ring[:k]
+
+
+def _planar_sum(r, s):
+    """The vertices of the sum of the counter-clockwise rings r and s, from
+    the sum of their starts: each step takes the edge of smaller polar
+    angle, half-plane first, then the cross product, and one of each when
+    they are parallel."""
+    def edges(ring):
+        return [(w[0] - v[0], w[1] - v[1]) for v, w in zip(ring, ring[1:] + ring[:1])
+                ] if len(ring) > 1 else []
+
+    def before(e, f):
+        he, hf = e[1] < 0 or (e[1] == 0 and e[0] < 0), f[1] < 0 or (f[1] == 0 and f[0] < 0)
+        return he < hf or (he == hf and e[0] * f[1] > e[1] * f[0])
+
+    e, f = edges(r), edges(s)
+    i = j = 0
+    x, y = r[0][0] + s[0][0], r[0][1] + s[0][1]
+    out = []
+    while i < len(e) or j < len(f):
+        out.append((x, y))
+        if j == len(f) or (i < len(e) and before(e[i], f[j])):
+            (dx, dy), i = e[i], i + 1
+        elif i == len(e) or before(f[j], e[i]):
+            (dx, dy), j = f[j], j + 1
+        else:
+            dx, dy = e[i][0] + f[j][0], e[i][1] + f[j][1]
+            i, j = i + 1, j + 1
+        x, y = x + dx, y + dy
+    return out
+
+
+@lru_cache(maxsize=1)
+def _plane_span():
+    """The span of every polygon in the plane: the identity `rref` and its pivots."""
+    span_basis, pivots = rref([(1, 0), (0, 1)])
+    return tuple(span_basis), tuple(pivots)
+
+
+def _polygon(ring, den) -> Polytope:
+    """What `_hull` gives for the counter-clockwise strictly convex ring of
+    int points p / den: an edge (dx, dy) from v is the facet with outward
+    normal (dy, -dx) through v, in coordinates from the smallest vertex,
+    and its two ends are the facet's vertices."""
+    points = sorted(ring)
+    position = {v: i for i, v in enumerate(points)}
+    (bx, by), planes, facet_masks = points[0], [], []
+    for v, w in zip(ring, ring[1:] + ring[:1]):
+        dx, dy = w[0] - v[0], w[1] - v[1]
+        planes.append(primitive((den * dy, -den * dx, dy * (v[0] - bx) - dx * (v[1] - by))))
+        facet_masks.append(1 << position[v] | 1 << position[w])
+    return _polytope(points, den, *_plane_span(),
+                     tuple((key[:-1], key[-1]) for key in sorted(planes)),
+                     _pulling_fan(facet_masks, len(points), 2))
 
 
 def dilate(p: Polytope, k) -> Polytope:

@@ -85,7 +85,11 @@ def dim_irrep(group: GroupDescriptor, weight) -> int:
 class ChamberFace:
     """A face of the dominant chamber: per factor, an ordered partition of
     the coordinates into consecutive blocks.  Weights on the face are
-    constant on each block, with block values non-increasing."""
+    constant on each block, with block values non-increasing.
+
+    `num_blocks` and `dim`, the dimension of the face = block count + torus
+    rank = rank of its weight lattice, are set once, at construction; they
+    are not fields, so equality and hashing read only group and blocks."""
 
     group: GroupDescriptor
     blocks: tuple  # one tuple of block sizes per GL factor
@@ -98,15 +102,8 @@ class ChamberFace:
         for sizes, n in zip(blocks, self.group.gl_factors):
             if any(s < 1 for s in sizes) or sum(sizes) != n:
                 raise DomainError(f"block sizes {sizes} do not partition {n} coordinates")
-
-    @property
-    def num_blocks(self) -> int:
-        return sum(len(bs) for bs in self.blocks)
-
-    @property
-    def dim(self) -> int:
-        """Dimension of the face = block count + torus rank = rank of its weight lattice."""
-        return self.num_blocks + self.group.torus_rank
+        object.__setattr__(self, "num_blocks", sum(len(bs) for bs in blocks))
+        object.__setattr__(self, "dim", self.num_blocks + self.group.torus_rank)
 
     def block_of_column(self, factor: int, col: int) -> int:
         """Block index (within the factor) of coordinate position col (0-based)."""

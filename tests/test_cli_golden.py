@@ -2,8 +2,10 @@
 
 Each case runs one verb in-process and compares its stdout with the text in
 `tests/golden/<case>.out`.  The problem files sit next to them: a GL(3) full
-chamber, GL(2) x T^1 and a general-mode wall face of GL(3) with a
-non-standard Lambda(H).  The `gc` cases print the Gelfand-Tsetlin polytope
+chamber, GL(2) x T^1, a general-mode wall face of GL(3) with a
+non-standard Lambda(H), and a quotient-mode system on the GL(3) wall face
+(1,2) with four distinct supports of 2-3 points, whose subset sums are
+plane polygons and parallel segments.  The `gc` cases print the Gelfand-Tsetlin polytope
 of a regular and of a wall weight of GL(3).  The `mixed-volume` and
 `mixed-integral` cases take body systems with rational vertices and a
 segment among the bodies: on the standard lattice of the plane, on an
@@ -41,6 +43,7 @@ CASES = {
     "gl3-hilbert": ["hilbert", "gl3.json", "--k", "5"],
     "gl3-completion": ["completion", "gl3.json"],
     "gl3-index": ["index", "gl3.json"],
+    "gl3-wall-index": ["index", "gl3_wall.json"],
     "gl3-weyl-wall": ["weyl", "--gl", "3", "--weight", "4,1,0", "--blocks", "1,2"],
     "gl3-weyl-chamber": ["weyl", "--gl", "3", "--weight", "2,2,0", "--blocks", "1,1,1"],
     "gl2-t1-hilbert": ["hilbert", "gl2_t1.json", "--k", "5"],

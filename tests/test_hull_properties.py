@@ -12,11 +12,15 @@ the first vertex, while every library polytope, a hull or a
 Gelfand-Tsetlin lift built without one, is triangulated by pulling: so the
 fan is checked by a certificate, `assert_triangulates`, not against the
 oracle's.
+
+A Minkowski sum in the plane is built from the summands' edge sequences,
+with no hull; it must store exactly what `_hull` of the pairwise sums
+stores, field by field.
 """
 
 import itertools
 from collections import Counter
-from math import factorial
+from math import factorial, lcm
 from operator import mul
 
 import pytest
@@ -25,12 +29,13 @@ from hypothesis import strategies as st
 
 from fraction_kernel import (ONE, ZERO, clear_denominators, dot, fraction_det, nullspace,
                              rref)
-from horoindex import (AffineLattice, ChamberFace, DomainError, GroupDescriptor, Q, hull,
-                       minkowski_sum, newton_lift, volume)
+from horoindex import (AffineLattice, ChamberFace, DomainError, GroupDescriptor,
+                       HorosphericalSpace, Q, SupportSet, hull, minkowski_sum,
+                       moment_polytope, newton_lift, volume)
 from horoindex import polytopes
 from horoindex.gelfand_tsetlin import fiber_vertices
 from horoindex.linalg import det, vsub
-from horoindex.polytopes import _hull_core
+from horoindex.polytopes import _hull, _hull_core
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -331,3 +336,107 @@ def test_bareiss_det_matches_the_fraction_det(data):
     if denom == 1:
         assert det([tuple(int(x) for x in row) for row in rows]) == fraction_det(rows)
 
+
+
+# -- planar Minkowski sums ----------------------------------------------------
+
+STORED = ("den", "points", "span_basis", "span_pivots", "facets", "fan")
+
+
+def hull_of_sums(p, q):
+    """`_hull` of the sorted pairwise sums: what `minkowski_sum` must store.
+    It is the import-time `_hull`, which `counted_hulls` does not count."""
+    den = lcm(p.den, q.den)
+    a, b = den // p.den, den // q.den
+    return _hull(sorted({tuple(a * x + b * y for x, y in zip(v, w))
+                                   for v in p.points for w in q.points}), den)
+
+
+def assert_sum_is_the_hull(p, q):
+    s, h = minkowski_sum(p, q), hull_of_sums(p, q)
+    for field in STORED:
+        assert getattr(s, field) == getattr(h, field), field
+    return s
+
+
+@st.composite
+def plane_bodies(draw, den=None):
+    """A rational body in the plane: a point, a segment, a triangle or the
+    hull of up to 8 points, over the denominator 1, 2 or 3."""
+    den = den or draw(st.sampled_from([1, 2, 3]))
+    count = {"point": 1, "segment": 2, "triangle": 3, "polygon": draw(st.integers(4, 8))}[
+        draw(st.sampled_from(["point", "segment", "triangle", "polygon"]))]
+    coordinate = st.integers(-3, 3)
+    return hull([(Q(draw(coordinate), den), Q(draw(coordinate), den)) for _ in range(count)])
+
+
+@st.composite
+def plane_pairs(draw):
+    """Two plane bodies: drawn apart, one added to itself, or two parallel
+    segments, whose sum is a segment again."""
+    kind = draw(st.sampled_from(["apart", "itself", "parallel"]))
+    if kind == "apart":
+        return draw(plane_bodies()), draw(plane_bodies())
+    if kind == "itself":
+        p = draw(plane_bodies())
+        return p, p
+    direction = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1), (1, 3)]))
+    segments = []
+    for _ in range(2):
+        den = draw(st.sampled_from([1, 2, 3]))
+        x, y, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3)), draw(st.integers(1, 3))
+        segments.append(hull([(Q(x, den), Q(y, den)),
+                              (Q(x + t * direction[0], den), Q(y + t * direction[1], den))]))
+    return tuple(segments)
+
+
+@PROPERTY
+@given(plane_pairs())
+def test_planar_minkowski_sum_is_the_hull_of_the_sums(pair):
+    assert_sum_is_the_hull(*pair)
+
+
+def counted_hulls(monkeypatch):
+    calls, original = [], polytopes._hull
+
+    def counting(points, den):
+        calls.append(points)
+        return original(points, den)
+
+    monkeypatch.setattr(polytopes, "_hull", counting)
+    return calls
+
+
+@pytest.mark.parametrize("p, q, dim, hulls", [
+    ([(0, 0), (2, 1), (1, 3)], [(0, 0), (1, 0), (1, 1), (0, 1)], 2, 0),  # two polygons
+    ([(0, 0), (2, 1)], [(0, 1), (1, 0)], 2, 0),                            # crossing segments
+    ([(0, 0), (2, 1)], [(1, 1), (2, 1), (0, 3)], 2, 0),                    # segment, triangle
+    ([(1, 1)], [(0, 0), (3, 1), (1, 2)], 2, 0),                            # point, triangle
+    ([(0, 0), (2, 1)], [(1, 0), (5, 2)], 1, 1),                            # parallel segments
+    ([(0, 0), (2, 1)], [(3, 3)], 1, 1),                                    # point, segment
+    ([(1, 2)], [(3, 4)], 0, 1),                                            # two points
+    ([(0, 0, 0), (1, 0, 0)], [(0, 1, 0), (0, 0, 1)], 2, 1),               # in 3-space
+])
+def test_only_plane_polygons_skip_the_hull(monkeypatch, p, q, dim, hulls):
+    p, q = hull(p), hull(q)
+    calls = counted_hulls(monkeypatch)
+    assert assert_sum_is_the_hull(p, q).dim == dim
+    assert len(calls) == hulls
+
+
+@pytest.mark.parametrize("blocks", [(1, 2), (2, 1)])
+def test_wall_face_subset_sums_are_the_hulls_of_their_sums(monkeypatch, blocks):
+    # the moment polytopes of every 2-3 point support on a GL(3) wall face
+    # with coordinates 0..2, the bodies of non-diagonal wall-face systems
+    space = HorosphericalSpace.quotient(ChamberFace(GroupDescriptor((3,)), (blocks,)))
+    points = [(a, b) for a in range(3) for b in range(a + 1)]
+    bodies = [moment_polytope(SupportSet(space, s))
+              for r in (2, 3) for s in itertools.combinations(points, r)]
+    assert {p.dim for p in bodies} == {1, 2}
+    calls = counted_hulls(monkeypatch)
+    pairs = [assert_sum_is_the_hull(p, q)
+             for p, q in itertools.combinations_with_replacement(bodies, 2)]
+    fallbacks = len(calls)
+    assert 0 < fallbacks < len(pairs)  # parallel segments fall back, the rest do not
+    for s, r in zip(pairs[::7], bodies * 3):  # sums of three and four bodies
+        assert_sum_is_the_hull(assert_sum_is_the_hull(s, r), s)
