@@ -1,13 +1,14 @@
 """Affine lattices: offset + integer span of a basis, with exact membership.
 
 Membership reads one fraction-free elimination per basis, cached: `bareiss`
-of [B^T | I], B the basis rows, gives d times the rref M [B^T | I] =
-[[I, X], [0, Y]] of it, M = [[X], [Y]] invertible.  So B^T c = v exactly
-when Y v = 0, and then c = X v: a row with its pivot among the first s
-columns (s the rank) gives d c_p = row . v, and each other row a
-consistency condition row . v = 0, all in ints for an int v.  The same
-elimination checks that the basis is independent, so a lattice built again
-from a basis it has seen takes no elimination.
+of [B^T | I], B the basis rows, gives d times the reduced echelon form
+M [B^T | I] = [[I, X], [0, Y]], d its last pivot, M = [[X], [Y]]
+invertible.  So B^T c = v exactly when Y v = 0, and then c = X v: a row
+with its pivot among the first s columns (s the rank) gives d c_p = row . v,
+and each other row a consistency condition row . v = 0, all in ints for an
+int v.  The same elimination checks that the basis is independent, so a
+lattice built again from a basis it has seen takes no elimination, and nor
+does the standard basis of Z^n: [I | I] is its own form, with d = 1.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ def _elimination(basis, n):
     """(d, coordinate rows, condition rows) of `bareiss` of [B^T | I], the
     rows cut to their last n entries; None if the basis is dependent."""
     s = len(basis)
+    if s == n and basis == tuple(tuple(int(i == j) for j in range(n)) for i in range(n)):
+        return 1, basis, ()  # Z^n: [I | I] is its own `bareiss` form
     rows, pivots = bareiss([tuple(b[i] for b in basis) + tuple(int(i == j) for j in range(n))
                             for i in range(n)])
     if sum(p < s for p in pivots) != s:

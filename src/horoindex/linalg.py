@@ -10,10 +10,11 @@ turn rational rows into integer ones (int rows pass as they are); `bareiss`
 is the one Gauss-Jordan elimination, fraction-free (Bareiss 1968: every
 intermediate entry is a minor of the input, so each division is exact), and
 `primitive` divides out a gcd.  `rref`, `rank` and `nullspace` read their
-results off the `bareiss` form: rref is it divided by its last pivot, and
-the kernel basis is integer.  `extend_echelon` reduces one row
-at a time, so a rank test can stop early; the hull calls it and, for its
-first simplex only, `normal_vector`.  `det` keeps its own elimination.
+results off the `bareiss` form: `rref` gives int rows over their least
+common denominator, and the kernel basis is integer.  `extend_echelon`
+reduces one row at a time, so a rank test can stop early; the hull calls it
+and, for its first simplex only, `normal_vector`.  `det` keeps its own
+elimination.
 """
 
 from __future__ import annotations
@@ -52,10 +53,10 @@ def _integer_rows(rows):
 def bareiss(rows):
     """Fraction-free Gauss-Jordan elimination of an integer matrix.
 
-    Returns (nonzero rows, pivot columns), like `rref`, except that the
-    pivot columns hold d times the identity rather than the identity, d
-    being the last pivot: rref is these rows divided by d.  Each entry is a
-    minor of the input, so the divisions by the previous pivot are exact.
+    Returns (nonzero rows, pivot columns): the pivot columns hold d times
+    the identity, d being the last pivot, of either sign, and the rows
+    divided by d are the RREF.  Each entry is a minor of the input, so the
+    divisions by the previous pivot are exact.
     """
     mat = [list(r) for r in rows]
     m = len(mat)
@@ -82,16 +83,15 @@ def bareiss(rows):
 
 
 def rref(rows):
-    """Reduced row echelon form.  Returns (list of nonzero rows, pivot columns).
-
-    Each row is scaled to integers, which keeps the row space, and `bareiss`
-    eliminates; its rows divided by the last pivot are the (unique) RREF.
-    """
+    """Reduced row echelon form over its least common denominator d > 0:
+    (nonzero int rows, pivot columns), every pivot entry d, so the rows over
+    d are the (unique) RREF.  The rows are scaled to integers, which keeps
+    the row space, and the `bareiss` rows divided by their gcd with its
+    last pivot, taken with that pivot's sign."""
     reduced, pivots = bareiss(_integer_rows(rows))
-    if not pivots:
-        return [], []
-    d = reduced[-1][pivots[-1]]
-    return [tuple(Q(x, d) for x in row) for row in reduced], pivots
+    d = reduced[-1][pivots[-1]] if pivots else 1
+    g = gcd(d, *(x for row in reduced for x in row)) * (1 if d > 0 else -1)
+    return ([tuple(x // g for x in row) for row in reduced] if g != 1 else reduced), pivots
 
 
 def rank(rows) -> int:

@@ -4,7 +4,8 @@ A Polytope stores its sorted extreme vertices times `den`, their least
 common denominator, as int tuples `points`; (den, points) is canonical and
 backs `==`, `hash` (taken once, at construction) and the memo in `spaces`,
 and `vertices` reads it back as rationals.  It also stores its span basis,
-facets and fan.
+the `rref` int rows over their one pivot entry d, its facets and its fan:
+every field is an int, and rationals are made only where they leave.
 Degenerate (lower-dimensional) polytopes are first class: every volume or
 integral is taken relative to the affine span, normalized to a caller-chosen
 lattice.
@@ -45,16 +46,16 @@ from operator import and_, mul
 
 from .errors import DomainError, check_length
 from .lattices import AffineLattice
-from .linalg import (bareiss, common_denominator, det, extend_echelon, normal_vector,
-                     primitive, rref, scaled, vsub)
-from .rationals import Q, ZERO, exact_point, is_integral
+from .linalg import (common_denominator, det, extend_echelon, normal_vector, primitive, rref,
+                     scaled, vsub)
+from .rationals import Q, exact_point
 
 
 @dataclass(frozen=True, eq=False)
 class Polytope:
     den: int                   # least common denominator of the vertices
     points: tuple              # sorted vertices times den, as int tuples
-    span_basis: tuple          # rref basis of the direction space (rows)
+    span_basis: tuple          # d times the direction space's rref: int rows, pivot entries d
     span_pivots: tuple         # pivot columns of span_basis
     facets: tuple              # ((integer normal, integer offset), ...) in span coords
     fan: tuple                 # triangulation: (dim+1)-tuples of vertex indices from 0
@@ -83,15 +84,14 @@ class Polytope:
     def span_coordinates(self, point):
         """Coordinates of point in the affine span, or None if outside it."""
         check_length(point, self.ambient_dim)
-        d = vsub(tuple(Q(x) for x in point), self.base)
-        coords = tuple(d[p] for p in self.span_pivots)
-        recon = [ZERO] * self.ambient_dim
-        for c, row in zip(coords, self.span_basis):
-            for i, x in enumerate(row):
-                recon[i] += c * x
-        if tuple(recon) != d:
+        diff = vsub(tuple(Q(x) for x in point), self.base)
+        pivots, rows = self.span_pivots, self.span_basis
+        # in the span, e d diff = sum_j (e diff at pivot j) row_j, e a denominator
+        v, d = scaled(diff, common_denominator(diff)), rows[0][pivots[0]] if rows else 1
+        if any(d * x != sum(v[p] * row[i] for p, row in zip(pivots, rows))
+               for i, x in enumerate(v)):
             return None
-        return coords
+        return tuple(diff[p] for p in pivots)
 
     def contains(self, point) -> bool:
         coords = self.span_coordinates(point)
@@ -290,12 +290,12 @@ def _from_planes(points, den, planes) -> Polytope:
 
     A half-space's tight set is a face, so the facets are the maximal
     proper tight sets, bitmasks over the points.  Restricted to span
-    coordinates c, n.p is n.p0 + sum_i c_i (n.row_i) / d, for the `bareiss`
-    rows of the span and their last pivot d.  The fan is `_pulling_fan`'s.
+    coordinates c, n.p is n.p0 + sum_i c_i (n.row_i) / d, for the `rref`
+    rows of the span and their pivot entry d.  The fan is `_pulling_fan`'s.
     A point cut off by a half-space, or not a vertex, raises DomainError.
     """
     base, everything = points[0], (1 << len(points)) - 1
-    rows, pivots = bareiss([vsub(p, base) for p in points[1:]])
+    rows, pivots = rref([vsub(p, base) for p in points[1:]])
     tight = {}
     for n, b in planes:
         slacks = [b - sum(map(mul, n, p)) for p in points]
@@ -309,12 +309,12 @@ def _from_planes(points, den, planes) -> Polytope:
     for i in range(len(points)):
         if reduce(and_, [m for m in facet_masks if m >> i & 1], everything) != 1 << i:
             raise DomainError("a point of a polytope is not a vertex")
-    d = rows[-1][pivots[-1]] if pivots else 1
+    d = rows[0][pivots[0]] if pivots else 1
     planes = []
     for n, b in map(tight.get, facet_masks):
-        normal = tuple((den if d > 0 else -den) * sum(map(mul, n, row)) for row in rows)
-        planes.append(primitive(normal + (abs(d) * (b - sum(map(mul, n, base))),)))
-    return _polytope(points, den, [tuple(Q(x, d) for x in row) for row in rows], pivots,
+        normal = tuple(den * sum(map(mul, n, row)) for row in rows)
+        planes.append(primitive(normal + (d * (b - sum(map(mul, n, base))),)))
+    return _polytope(points, den, rows, pivots,
                      tuple((key[:-1], key[-1]) for key in sorted(planes)),
                      _pulling_fan(facet_masks, len(points), len(pivots)))
 
@@ -385,13 +385,6 @@ def _planar_sum(r, s):
     return out
 
 
-@lru_cache(maxsize=1)
-def _plane_span():
-    """The span of every polygon in the plane: the identity `rref` and its pivots."""
-    span_basis, pivots = rref([(1, 0), (0, 1)])
-    return tuple(span_basis), tuple(pivots)
-
-
 def _polygon(ring, den) -> Polytope:
     """What `_hull` gives for the counter-clockwise strictly convex ring of
     int points p / den: an edge (dx, dy) from v is the facet with outward
@@ -404,7 +397,7 @@ def _polygon(ring, den) -> Polytope:
         dx, dy = w[0] - v[0], w[1] - v[1]
         planes.append(primitive((den * dy, -den * dx, dy * (v[0] - bx) - dx * (v[1] - by))))
         facet_masks.append(1 << position[v] | 1 << position[w])
-    return _polytope(points, den, *_plane_span(),
+    return _polytope(points, den, ((1, 0), (0, 1)), (0, 1),
                      tuple((key[:-1], key[-1]) for key in sorted(planes)),
                      _pulling_fan(facet_masks, len(points), 2))
 
@@ -457,7 +450,7 @@ def _simplices(p: Polytope, lattice: AffineLattice):
     times the simplex's volume in units of the lattice cell on p's span.
 
     Both determinants are taken in span coordinates (the entries at
-    span_pivots): span_basis is in RREF, so projecting onto the pivots is
+    span_pivots): span_basis is an RREF times d, so the pivots' projection is
     injective on the span and the ratio is the lattice-normalized volume.
     Both are integer: jac is the |det| of the scaled edges, s^dim times
     that of the simplex, and unit is s^dim times the lattice cell's.  For a
@@ -489,10 +482,11 @@ def volume(p: Polytope, lattice: AffineLattice):
 def _lattice_body(p: Polytope, lattice: AffineLattice) -> Polytope:
     """p in the lattice's coordinates: p itself when they are its vertices, as
     on the standard lattice, else the hull of the vertices' coordinates."""
-    coords = [lattice.coordinates(v) for v in p.vertices]
+    vertices = p.points if p.den == 1 else p.vertices
+    coords = [lattice.coordinates(v) for v in vertices]
     if None in coords:
         raise DomainError("polytope must lie in the affine span of the lattice")
-    return p if coords == list(p.vertices) else hull(coords)
+    return p if coords == list(vertices) else hull(coords)
 
 
 def lattice_points(p: Polytope, lattice: AffineLattice):
@@ -514,8 +508,9 @@ def _slices(q: Polytope):
     prefix fixed, a facet n.c <= b bounds the last pivot x by a*x <= rem: from
     above when a > 0, from below when a < 0, and when a == 0 not at all or,
     if rem < 0, to nothing.  Through span_basis, x + 1 moves a point by its
-    last row r, so the integer points are one class of x modulo the lcm L of
-    r's denominators, found by a scan of at most L values, with step L r.
+    last row r over the pivot entry d, so the integer points are one class
+    of x modulo L = d / gcd(d, r), found by a scan of at most L values, with
+    step L r / d.  The scan holds the point times den d, as ints.
     """
     points, den, pivots, basis = q.points, q.den, q.span_pivots, q.span_basis
     if not pivots:
@@ -528,9 +523,10 @@ def _slices(q: Polytope):
     # n.x is an integer, so the right side may be rounded down to one
     start = [points[0][j] for j in pivots]
     bounds = [(n[:-1], n[-1], (den * b + sum(map(mul, n, start))) // den) for n, b in q.facets]
-    base, last = q.base, basis[-1]
-    period = lcm(*(Q(x).denominator for x in last))
-    step = tuple(int(period * x) for x in last)
+    base, last = points[0], basis[-1]
+    d = last[pivots[-1]]
+    g = gcd(d, *last)
+    period, step, scale = d // g, tuple(x // g for x in last), den * d
     full = len(pivots) == len(base)
     for prefix in itertools.product(*(range(lo, hi + 1) for lo, hi in boxes[:-1])):
         lo, hi = boxes[-1]
@@ -548,11 +544,11 @@ def _slices(q: Polytope):
         if full:
             yield prefix + (lo,), step, hi - lo + 1
             continue
-        c = [v - base[j] for v, j in zip(prefix + (lo,), pivots)]
-        point = [base[i] + sum(cj * row[i] for cj, row in zip(c, basis))
+        c = [den * v - base[j] for v, j in zip(prefix + (lo,), pivots)]
+        point = [d * base[i] + sum(cj * row[i] for cj, row in zip(c, basis))
                  for i in range(len(base))]
         for x in range(lo, min(hi, lo + period - 1) + 1):
-            if all(is_integral(v) for v in point):
-                yield tuple(int(v) for v in point), step, (hi - x) // period + 1
+            if all(v % scale == 0 for v in point):
+                yield tuple(v // scale for v in point), step, (hi - x) // period + 1
                 break
-            point = [v + y for v, y in zip(point, last)]
+            point = [v + den * y for v, y in zip(point, last)]

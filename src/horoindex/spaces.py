@@ -282,13 +282,13 @@ def _polarized_indices(space: HorosphericalSpace, supports, *routes):
     central translates of the moment polytopes, which every measure takes
     to the same values, and each subset sum's tuple of measures is looked
     up in the memo first."""
-    routes = [route(space) for route in routes]
     n = space.num_supports
     if len(supports) != n:
         kind = "dim(G/P')" if space.mode == QUOTIENT_MODE else "dim(G/H)"
         raise DomainError(f"need exactly {n} supports (= {kind}), got {len(supports)}")
     if any(s.space != space for s in supports):
         raise DomainError("support belongs to a different space")
+    routes = [route(space) for route in routes]
     if n == 0:
         return (Q(1),) * len(routes)  # the index on a point
     names = tuple(name for name, _ in routes)

@@ -7,7 +7,7 @@ cached elimination of the basis instead (`lattices._elimination`).
 """
 
 from horoindex.linalg import rref
-from horoindex.rationals import ZERO
+from horoindex.rationals import Q, ZERO
 
 
 def solve(rows, rhs):
@@ -24,5 +24,5 @@ def solve(rows, rhs):
     for row, p in zip(reduced, pivots):
         if p == ncols:  # 0 = nonzero: inconsistent
             return None
-        sol[p] = row[-1]
+        sol[p] = Q(row[-1], row[p])
     return tuple(sol)

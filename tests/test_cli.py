@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from horoindex import lattices, spaces
 from horoindex.cli import main
 from horoindex.errors import RouteDisagreementError
 
@@ -150,6 +151,20 @@ def test_a_float_or_bool_number_exits_3_by_name(tmp_path, capsys, bad, where):
     assert json.loads(err) == {
         "error": "validation",
         "detail": f"rationals must be integers or 'p/q' strings, got {bad!r}"}
+
+
+def test_the_support_count_is_checked_before_any_route_is_built(tmp_path, capsys, monkeypatch):
+    def expand(face):
+        raise AssertionError("restricted_weyl ran before the support count was checked")
+
+    monkeypatch.setattr(spaces, "restricted_weyl", expand)
+    monkeypatch.setattr(lattices, "bareiss", expand)
+    for group, n in (({"gl": [7]}, 28), ({"torus": 1000}, 1000)):
+        path = write(tmp_path, "problem.json", {"group": group})
+        code, out, err = run_cli(["index", path], capsys)
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": "validation",
+                                   "detail": f"need exactly {n} supports (= dim(G/P')), got 0"}
 
 
 def test_mixed_volume(tmp_path, capsys):

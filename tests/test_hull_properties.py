@@ -200,7 +200,8 @@ def assert_matches_the_fraction_kernel(n, pts):
     p = hull(pts)
     vertices, span_basis, pivots, facets, fan = fraction_hull(pts)
     assert p.vertices == vertices
-    assert p.span_basis == span_basis
+    assert tuple(tuple(Q(x, row[c]) for x in row)
+                 for row, c in zip(p.span_basis, p.span_pivots)) == span_basis
     assert p.span_pivots == pivots
     assert p.facets == facets
     assert_triangulates(p, facets, fan)

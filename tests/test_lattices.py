@@ -3,7 +3,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_kernel as oracle
-from horoindex import AffineLattice, DomainError, Q
+from horoindex import AffineLattice, DomainError, Q, lattices
 
 
 def test_standard_lattice_membership():
@@ -11,6 +11,27 @@ def test_standard_lattice_membership():
     assert lat.contains((3, -5))
     assert not lat.contains((Q(1, 2), 0))
     assert lat.rank == 2
+
+
+def test_the_standard_lattice_takes_no_elimination(monkeypatch):
+    # the same lattice on a permuted identity basis, which does eliminate
+    order = (2, 0, 4, 1, 3)
+    permuted = AffineLattice((0,) * 5, tuple(tuple(int(i == j) for j in range(5)) for i in order))
+    points = [(3, -1, 0, 2, 7), (Q(1, 2), 0, 0, 0, 0), (0, 0, 0, 0, Q(-5, 3))]
+    spans = [[(1, 1, 0, 0, 0)], [(Q(1, 2), 0, 1, 0, 0), (0, 0, 0, 1, 1)]]
+    expected = ([permuted.coordinates(v) for v in points], [permuted.contains(v) for v in points],
+                [sorted(permuted.direction_sublattice(s)) for s in spans])
+
+    def eliminate(rows):
+        raise AssertionError("the standard lattice was eliminated")
+
+    lattices._elimination.cache_clear()
+    monkeypatch.setattr(lattices, "bareiss", eliminate)
+    standard = AffineLattice.standard.__wrapped__(AffineLattice, 5)
+    coordinates = [standard.coordinates(v) for v in points]
+    assert [tuple(c[i] for i in order) for c in coordinates] == expected[0]
+    assert [standard.contains(v) for v in points] == expected[1]
+    assert [sorted(standard.direction_sublattice(s)) for s in spans] == expected[2]
 
 
 def test_rank_zero_lattice_is_a_point():

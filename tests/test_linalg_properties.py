@@ -1,8 +1,9 @@
 """Property tests: the rational helpers that `linalg` derives from its one
 fraction-free elimination against the `Fraction` Gauss-Jordan kernel.
 
-`rref`, `rank` and `solve` must equal the oracle exactly; `solve` is the
-`rref`-based solver of `bareiss_solve`, which `expanded_integral` uses.  `nullspace`
+`rank` and `solve` must equal the oracle exactly, and so must `rref`'s int
+rows divided by their pivot entries; `solve` is the `rref`-based solver of
+`bareiss_solve`, which `expanded_integral` uses.  `nullspace`
 returns an integer basis instead of the canonical rational one, so it must
 have the oracle's length and span the oracle's kernel.  `normal_vector`
 takes integer rows; on the rows scaled to ints, which keeps the kernel, it
@@ -52,7 +53,9 @@ def oracle_rank(rows):
 @given(matrices())
 def test_rref_and_rank_match_the_fraction_kernel(case):
     _, rows = case
-    assert rref(rows) == oracle.rref(rows)
+    reduced, pivots = rref(rows)
+    assert ([tuple(Q(x, row[c]) for x in row) for row, c in zip(reduced, pivots)],
+            pivots) == oracle.rref(rows)
     assert rank(rows) == oracle_rank(rows)
 
 

@@ -6,18 +6,21 @@ the lattice points, an arithmetic progression, from a few values
 (`polynomials.progression_sum`).  Each piece is checked against what it
 replaces: the Hilbert function against the expanded `Fraction` sum over the
 hull of the dilated weights (`expanded_weyl.py`), a progression sum against
-the sum of its terms, and `dilate` against `_hull` of the scaled points.
+the sum of its terms, `dilate` against `_hull` of the scaled points, and the
+lattice points of a lower-dimensional body against `contains` on its
+bounding box.
 """
 
-from math import prod
+from itertools import product
+from math import ceil, floor, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expanded_weyl import hilbert_function_by_expansion
-from horoindex import (ChamberFace, GroupDescriptor, HorosphericalSpace, Q, SupportSet,
-                       dilate, hilbert_function, hull)
+from horoindex import (AffineLattice, ChamberFace, GroupDescriptor, HorosphericalSpace, Q,
+                       SupportSet, dilate, hilbert_function, hull, lattice_points)
 from horoindex import polytopes, spaces
 from horoindex.polynomials import progression_sum
 
@@ -135,6 +138,32 @@ def test_dilate_matches_the_hull_of_the_scaled_points(p, k):
     assert (got.span_basis, got.span_pivots) == (expected.span_basis, expected.span_pivots)
     assert got.facets == expected.facets
     assert got.fan == expected.fan
+
+
+@st.composite
+def flat_bodies(draw):
+    """Bodies of dimension < n in dimension n = 2-3: an integer point plus
+    rational multiples of 1 to n - 1 integer directions, at times moved off
+    the lattice, so that their span rows have denominators."""
+    dim = draw(st.integers(2, 3))
+    q0 = draw(st.tuples(*[st.integers(-1, 1)] * dim))
+    directions = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), min_size=1,
+                               max_size=dim - 1))
+    scale = st.sampled_from([Q(1, 2), Q(2, 3), 1, Q(3, 2), 2])
+    points = [q0] + [tuple(a + draw(scale) * u for a, u in zip(q0, d)) for d in directions]
+    shift = draw(st.sampled_from([0, 0, Q(1, 2)]))
+    return hull([(p[0] + shift,) + p[1:] for p in points])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(flat_bodies())
+# span rows (4, 0, 1), (0, 4, 4) over 4: the last row's step is (0, 1, 1), not 4 times it
+@example(hull([(0, 0, 0), (4, 0, 1), (0, 2, 2)]))
+def test_lattice_points_of_a_flat_body_are_the_integer_points_in_it(p):
+    box = [range(floor(min(v[i] for v in p.vertices)), ceil(max(v[i] for v in p.vertices)) + 1)
+           for i in range(p.ambient_dim)]
+    expected = [x for x in product(*box) if p.contains(x)]
+    assert lattice_points(p, AffineLattice.standard(p.ambient_dim)) == expected
 
 
 def test_dilate_and_a_repeated_hilbert_call_take_no_hull(monkeypatch):

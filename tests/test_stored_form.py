@@ -5,15 +5,21 @@ denominator `den`, the least common denominator of the vertices, and
 `vertices` reads them back as rationals.  The form must be canonical
 whatever built the polytope: `hull` from rational points, or `minkowski_sum`,
 `dilate` and `newton_lift` from stored int points and their denominators.
+So must its span: int rows with one positive pivot entry d, coprime to the
+entries as a whole, that divided by d are the `Fraction` RREF of the
+directions from the first vertex.
 """
 
-from math import lcm
+from math import gcd, lcm
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fraction_kernel as oracle
 from horoindex import (ChamberFace, GroupDescriptor, Q, dilate, hull, minkowski_sum,
-                       newton_lift)
+                       newton_lift, polytopes)
+from horoindex.linalg import vsub
+from horoindex.polytopes import _hull
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -79,3 +85,55 @@ def test_lift_commutes_with_a_rational_dilation(face, data):
     base = hull([tuple(sorted(w, reverse=True)) for w in weights])
     half = Q(1, 2)
     assert newton_lift(face, dilate(base, half)) == dilate(newton_lift(face, base), half)
+
+
+def assert_span_form(p):
+    rows, pivots = p.span_basis, p.span_pivots
+    assert all(type(x) is int for row in rows for x in row)
+    d = rows[0][pivots[0]] if rows else 1
+    assert d > 0 and all(row[c] == d for row, c in zip(rows, pivots))
+    assert gcd(d, *(x for row in rows for x in row)) == 1
+    base = p.vertices[0]
+    assert ([tuple(Q(x, d) for x in row) for row in rows], list(pivots)) == \
+        oracle.rref([vsub(v, base) for v in p.vertices[1:]])
+
+
+@PROPERTY
+@given(point_sets())
+def test_hull_and_dilate_store_the_rref_over_one_denominator(points):
+    p = hull(points)
+    assert_span_form(p)
+    assert_span_form(dilate(p, Q(2, 3)))
+
+
+@PROPERTY
+@given(polytope_pairs())
+def test_minkowski_sums_store_the_rref_over_one_denominator(pair):
+    assert_span_form(minkowski_sum(*pair))
+
+
+@PROPERTY
+@given(st.lists(point_sets(2, (1, 2, 3)), min_size=2, max_size=2))
+def test_planar_sums_store_the_rref_over_one_denominator(pair):
+    assert_span_form(minkowski_sum(hull(pair[0]), hull(pair[1])))
+
+
+def test_planar_sums_and_their_fallbacks_store_the_same_span_form(monkeypatch):
+    segment, parallel = hull([(0, 0), (Q(1, 2), 1)]), hull([(1, 0), (2, 2)])
+    triangle = hull([(0, 0), (Q(3, 2), 0), (0, 1)])
+    hulls = []
+    monkeypatch.setattr(polytopes, "_hull", lambda *a: hulls.append(a) or _hull(*a))
+    for p, q, fallback in ((segment, parallel, True), (segment, triangle, False)):
+        hulls.clear()
+        assert_span_form(minkowski_sum(p, q))
+        assert bool(hulls) == fallback
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.sampled_from(GL3_FACES), st.data())
+def test_lifts_store_the_rref_over_one_denominator(face, data):
+    point = st.tuples(*[st.integers(-2, 3)] * face.dim)
+    weights = data.draw(st.lists(point, min_size=1, max_size=3))
+    base = hull([tuple(sorted(w, reverse=True)) for w in weights])
+    assert_span_form(newton_lift(face, base))
+    assert_span_form(newton_lift(face, dilate(base, Q(1, 2))))
