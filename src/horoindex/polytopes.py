@@ -10,24 +10,26 @@ Degenerate (lower-dimensional) polytopes are first class: every volume or
 integral is taken relative to the affine span, normalized to a caller-chosen
 lattice.
 
-The hull is computed by an exact incremental (beneath-beyond) algorithm on
-triangulated boundary facets; dimensions here are small enough that
-asymptotics are irrelevant, and determinism matters more: points are always
-processed in lexicographic order.  Every builder gives one kind of fan, the
-pulling triangulation of `_pulling_fan`, from vertex 0, the same way in every
-dimension: volumes and integrals need no low-dimensional case.
+A plane hull is the ring of Andrew's monotone chain, `_chain`, stored by
+`_polygon`; any other hull is computed by an exact incremental
+(beneath-beyond) algorithm on triangulated boundary facets.  Dimensions
+here are small enough that asymptotics are irrelevant, and determinism
+matters more: points are always processed in lexicographic order.  Every
+builder gives one kind of fan, the pulling triangulation from vertex 0,
+the same way in every dimension: volumes and integrals need no
+low-dimensional case.  A polygon reads it off its ring, and every other
+body takes it from `_pulling_fan`.
 
 `hull` is the one place where rationals become ints: it rejects floats and
 scales its points once by their common denominator.  `_hull`, which `hull`
-calls on those ints, eliminates only for the span and the first simplex's
-facets: later facet planes come from the pencil of the two planes through a
-ridge, extreme vertices from a rank test.  Three builders take no hull:
-`minkowski_sum` in the plane merges the summands' edge sequences by angle,
-and falls back to `_hull` of the pairwise sums only for a segment, a point
-or a sum in another dimension; `dilate` scales the points and facet
-offsets, keeping the fan; and `newton_lift` knows its vertices and a
-superset of its facets and calls `_from_planes`.  Volumes take int
-determinants.
+calls on those ints, eliminates only for the span and, off the plane, the
+first simplex's facets: later facet planes come from the pencil of the two
+planes through a ridge, extreme vertices from a rank test.  Three builders
+take no hull: `minkowski_sum` in the plane stores the `_chain` of the
+pairwise sums, and passes only a ring of 1 or 2 points, a point or a
+segment, to `_hull`; `dilate` scales the points and facet offsets, keeping
+the fan; and `newton_lift` knows its vertices and a superset of its facets
+and calls `_from_planes`.  Volumes take int determinants.
 
 Lattice points are enumerated by slices in lattice coordinates: all span
 pivots but the last range over the bounding box, and the facet inequalities
@@ -223,9 +225,12 @@ def hull(points) -> Polytope:
 
 
 def _hull(points, den) -> Polytope:
-    """Hull of the points p / den, for sorted distinct int tuples p and den > 0."""
+    """Hull of the points p / den, for sorted distinct int tuples p and den > 0:
+    `_polygon` of the `_chain` in the plane, `_hull_core` in any other span."""
     base = points[0]
     span_basis, pivots = rref([vsub(p, base) for p in points[1:]])
+    if len(pivots) == 2 == len(base):
+        return _polygon(_chain(points), den)
     planes, facet_masks = [], []
     if pivots:
         coords = [tuple(p[j] - base[j] for j in pivots) for p in points]
@@ -322,84 +327,57 @@ def _from_planes(points, den, planes) -> Polytope:
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
     """p + q, equal to `_hull` of the pairwise sums in every stored field.
 
-    In the plane the sum takes no hull: its boundary is the merge of the
-    summands' edge sequences by angle (Fukuda, J. Symb. Comp. 2004), and
-    each edge is a facet whose two ends are its vertex set.  A walk of
-    fewer than 3 vertices, a segment or a point, and a sum in any other
-    dimension fall back to `_hull` of the |p| |q| candidate sums."""
+    In the plane the sum takes no hull: `_chain` of the pairwise sums is its
+    ring, which `_polygon` stores, and only a ring of fewer than 3 points, a
+    segment or a point, goes to `_hull`.  A sum in any other dimension is
+    `_hull` of the |p| |q| candidate sums."""
     if p.ambient_dim != q.ambient_dim:
         raise DomainError("Minkowski sum of polytopes in different ambient spaces")
     den = lcm(p.den, q.den)
     a, b = den // p.den, den // q.den
-    ps = [tuple(a * x for x in v) for v in p.points]
-    qs = [tuple(b * x for x in v) for v in q.points]
+    sums = sorted({tuple(a * x + b * y for x, y in zip(v, w))
+                   for v in p.points for w in q.points})
     if p.ambient_dim == 2:
-        ring = _planar_sum(_ring(ps), _ring(qs))
-        if len(ring) >= 3:
-            return _polygon(ring, den)
-    return _hull(sorted({tuple(x + y for x, y in zip(v, w)) for v in ps for w in qs}), den)
+        ring = _chain(sums)
+        return _polygon(ring, den) if len(ring) >= 3 else _hull(ring, den)
+    return _hull(sums, den)
 
 
-def _ring(points):
-    """The sorted vertices of a plane polytope, all extreme, counter-clockwise
-    from the lowest (y, x): the chord from the first to the last splits them
-    into a lower chain, in sorted order, and an upper one, in reverse."""
-    if len(points) == 1:
-        return points
-    (x0, y0), (x1, y1) = points[0], points[-1]
-    lower, upper = [], []
-    for v in points[1:-1]:
-        (lower if (x1 - x0) * (v[1] - y0) < (y1 - y0) * (v[0] - x0) else upper).append(v)
-    ring = [points[0], *lower, points[-1], *reversed(upper)]
-    k = min(range(len(ring)), key=lambda i: (ring[i][1], ring[i][0]))
-    return ring[k:] + ring[:k]
+def _chain(points):
+    """The extreme points of the sorted distinct int plane points,
+    counter-clockwise from the first, by Andrew's monotone chain (Inf. Proc.
+    Lett. 1979): the lower chain left to right, then the upper one back,
+    each keeping only left turns.  Collinear points give their two ends,
+    and one point gives itself."""
+    def half(seq):
+        out = []
+        for x, y in seq:
+            while len(out) > 1 and ((out[-1][0] - out[-2][0]) * (y - out[-2][1])
+                                    <= (out[-1][1] - out[-2][1]) * (x - out[-2][0])):
+                out.pop()
+            out.append((x, y))
+        return out[:-1]
 
-
-def _planar_sum(r, s):
-    """The vertices of the sum of the counter-clockwise rings r and s, from
-    the sum of their starts: each step takes the edge of smaller polar
-    angle, half-plane first, then the cross product, and one of each when
-    they are parallel."""
-    def edges(ring):
-        return [(w[0] - v[0], w[1] - v[1]) for v, w in zip(ring, ring[1:] + ring[:1])
-                ] if len(ring) > 1 else []
-
-    def before(e, f):
-        he, hf = e[1] < 0 or (e[1] == 0 and e[0] < 0), f[1] < 0 or (f[1] == 0 and f[0] < 0)
-        return he < hf or (he == hf and e[0] * f[1] > e[1] * f[0])
-
-    e, f = edges(r), edges(s)
-    i = j = 0
-    x, y = r[0][0] + s[0][0], r[0][1] + s[0][1]
-    out = []
-    while i < len(e) or j < len(f):
-        out.append((x, y))
-        if j == len(f) or (i < len(e) and before(e[i], f[j])):
-            (dx, dy), i = e[i], i + 1
-        elif i == len(e) or before(f[j], e[i]):
-            (dx, dy), j = f[j], j + 1
-        else:
-            dx, dy = e[i][0] + f[j][0], e[i][1] + f[j][1]
-            i, j = i + 1, j + 1
-        x, y = x + dx, y + dy
-    return out
+    return half(points) + half(reversed(points)) or points
 
 
 def _polygon(ring, den) -> Polytope:
     """What `_hull` gives for the counter-clockwise strictly convex ring of
     int points p / den: an edge (dx, dy) from v is the facet with outward
     normal (dy, -dx) through v, in coordinates from the smallest vertex,
-    and its two ends are the facet's vertices."""
+    and its two ends are the facet's vertices.  The fan is the pulling fan
+    from vertex 0, one triangle (0, a, b) per edge {a, b} that misses it."""
     points = sorted(ring)
     position = {v: i for i, v in enumerate(points)}
-    (bx, by), planes, facet_masks = points[0], [], []
+    (bx, by), planes, fan = points[0], [], []
     for v, w in zip(ring, ring[1:] + ring[:1]):
         dx, dy = w[0] - v[0], w[1] - v[1]
         planes.append(primitive((den * dy, -den * dx, dy * (v[0] - bx) - dx * (v[1] - by))))
-        facet_masks.append(1 << position[v] | 1 << position[w])
+        i, j = sorted((position[v], position[w]))
+        if i:
+            fan.append((0, i, j))
     return _polytope(points, den, ((1, 0), (0, 1)), (0, 1),
-                     tuple((key[:-1], key[-1]) for key in sorted(planes)),
-                     _pulling_fan(facet_masks, len(points), 2))
+                     tuple((key[:-1], key[-1]) for key in sorted(planes)), tuple(sorted(fan)))
 
 
 def dilate(p: Polytope, k) -> Polytope:
@@ -408,7 +386,7 @@ def dilate(p: Polytope, k) -> Polytope:
     u B).  The points keep their order, so the span and fan stay; 0 p is 0."""
     if isinstance(k, float):
         raise DomainError(f"dilation factor must be an int or a Fraction, not the float {k!r}")
-    k = Q(k)
+    k = k if isinstance(k, int) else Q(k)
     if k < 0:
         raise DomainError("dilation factor must be nonnegative")
     if k == 0:

@@ -13,9 +13,12 @@ Gelfand-Tsetlin lift built without one, is triangulated by pulling: so the
 fan is checked by a certificate, `assert_triangulates`, not against the
 oracle's.
 
-A Minkowski sum in the plane is built from the summands' edge sequences,
-with no hull; it must store exactly what `_hull` of the pairwise sums
-stores, field by field.
+A hull in the plane is the ring of Andrew's monotone chain, `_chain`, and
+a Minkowski sum in the plane is the chain of the pairwise sums; the sum
+must store exactly what `_hull` of the pairwise sums stores, field by
+field.  As `_hull` shares the chain, both are also checked against the
+oracle on plane point sets with collinear, interior and repeated points,
+and their fans against `_pulling_fan` of their facets.
 """
 
 import itertools
@@ -35,7 +38,7 @@ from horoindex import (AffineLattice, ChamberFace, DomainError, GroupDescriptor,
 from horoindex import polytopes
 from horoindex.gelfand_tsetlin import fiber_vertices
 from horoindex.linalg import det, vsub
-from horoindex.polytopes import _hull, _hull_core
+from horoindex.polytopes import _hull, _hull_core, _pulling_fan
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -240,8 +243,9 @@ def test_a_point_coplanar_with_a_hidden_facet():
     [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (2, 0, 0)],
 ])
 def test_hull_drops_non_extreme_points_in_one_core(monkeypatch, points):
-    # a square with its centre and edge midpoints; (1, 0, 0) ends up inside
-    # an edge of the hull, still a corner of beneath-beyond's boundary simplices
+    # a square with its centre and edge midpoints, whose ring is `_chain`'s
+    # with no core; (1, 0, 0) ends up inside an edge of the hull, still a
+    # corner of beneath-beyond's boundary simplices
     calls, original = [], polytopes._hull_core
 
     def counting(coords):
@@ -250,7 +254,7 @@ def test_hull_drops_non_extreme_points_in_one_core(monkeypatch, points):
 
     monkeypatch.setattr(polytopes, "_hull_core", counting)
     p = hull(points)
-    assert len(calls) == 1
+    assert len(calls) == (0 if len(points[0]) == 2 else 1)
     vertices, _, _, facets, fan = fraction_hull(points)
     assert (p.vertices, p.facets) == (vertices, facets)
     assert len(p.vertices) < len(points)
@@ -441,3 +445,55 @@ def test_wall_face_subset_sums_are_the_hulls_of_their_sums(monkeypatch, blocks):
     assert 0 < fallbacks < len(pairs)  # parallel segments fall back, the rest do not
     for s, r in zip(pairs[::7], bodies * 3):  # sums of three and four bodies
         assert_sum_is_the_hull(assert_sum_is_the_hull(s, r), s)
+
+
+# -- the plane's chain against the `Fraction` oracle ---------------------------
+
+def assert_is_the_fraction_hull(p, points):
+    """p stores what the oracle gives for the hull of points, field by field,
+    and its fan is the pulling fan of its facets' vertex masks."""
+    vertices, span_basis, pivots, facets, fan = fraction_hull(points)
+    den = lcm(*(x.denominator for v in vertices for x in v))
+    assert p.den == den
+    assert p.points == tuple(tuple(int(den * x) for x in v) for v in vertices)
+    assert tuple(tuple(Q(x, row[c]) for x in row)
+                 for row, c in zip(p.span_basis, p.span_pivots)) == span_basis
+    assert p.span_pivots == pivots
+    assert p.facets == facets
+    assert_triangulates(p, facets, fan)
+    coords = [tuple(v[j] - p.points[0][j] for j in pivots) for v in p.points]
+    masks = [sum(1 << i for i, c in enumerate(coords) if sum(map(mul, n, c)) == den * b)
+             for n, b in facets]
+    assert p.fan == _pulling_fan(masks, len(p.points), p.dim)
+
+
+@st.composite
+def plane_point_sets(draw):
+    """Plane points over the denominator 1, 2 or 3: a few drawn ones, a box
+    grid with its interior points and edge midpoints, points on a drawn line,
+    between others or past them, and repeats of all of these."""
+    den = draw(st.sampled_from([1, 2, 3]))
+    coordinate = st.integers(-3, 3)
+    pts = [(draw(coordinate), draw(coordinate)) for _ in range(draw(st.integers(0, 4)))]
+    x, y = draw(coordinate), draw(coordinate)
+    w, h = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    pts += [(x + i, y + j) for i in range(w + 1) for j in range(h + 1)]
+    x, y = draw(coordinate), draw(coordinate)
+    dx, dy = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1), (1, 3)]))
+    pts += [(x + t * dx, y + t * dy) for t in draw(st.lists(st.integers(-2, 2), max_size=5))]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=4))
+    return [(Q(a, den), Q(b, den)) for a, b in draw(st.permutations(pts))]
+
+
+@PROPERTY
+@given(plane_point_sets())
+def test_plane_hulls_match_the_fraction_kernel(points):
+    assert_is_the_fraction_hull(hull(points), points)
+
+
+@PROPERTY
+@given(plane_pairs())
+def test_planar_minkowski_sums_match_the_fraction_kernel(pair):
+    p, q = pair
+    assert_is_the_fraction_hull(minkowski_sum(p, q), [
+        tuple(x + y for x, y in zip(v, w)) for v in p.vertices for w in q.vertices])

@@ -7,7 +7,7 @@ import pytest
 from horoindex import (GENERAL_MODE, AffineLattice, ChamberFace, DomainError,
                        GroupDescriptor, HorosphericalSpace, Polynomial, Polytope, Q,
                        SupportSet, completion_support, dilate, hull, integrate,
-                       lattice_points, minkowski_sum, triangulation, volume)
+                       lattice_points, minkowski_sum, polytopes, triangulation, volume)
 from horoindex.linalg import rank, vsub
 
 STD = {n: AffineLattice.standard(n) for n in range(1, 5)}
@@ -276,6 +276,24 @@ def test_dilate_rejects_a_float_factor():
     with pytest.raises(DomainError, match=r"not the float 0\.1"):
         dilate(tri, 0.1)
     assert dilate(tri, Q(1, 2)).vertices == ((0, 0), (1, 0), (1, Q(1, 2)))
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0), (Q(1, 2), 1), (1, Q(1, 3))],
+    [(0, 0, 0), (1, 0, 2), (0, 1, 1), (1, 1, Q(5, 2))],
+])
+def test_dilate_by_an_int_makes_no_fraction(monkeypatch, points):
+    p = hull(points)
+    tripled = hull([tuple(3 * x for x in v) for v in p.vertices])
+
+    def no_fraction(*args):
+        raise AssertionError("dilate made a Fraction")
+
+    monkeypatch.setattr(polytopes, "Q", no_fraction)
+    d = dilate(p, 3)
+    assert (d.den, d.points, d.span_basis, d.span_pivots, d.facets, d.fan) == (
+        tripled.den, tripled.points, tripled.span_basis, tripled.span_pivots,
+        tripled.facets, tripled.fan)
 
 
 def test_hull_rejects_a_float_coordinate():
