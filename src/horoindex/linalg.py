@@ -13,8 +13,8 @@ intermediate entry is a minor of the input, so each division is exact), and
 results off the `bareiss` form: `rref` gives int rows over their least
 common denominator, and the kernel basis is integer.  `extend_echelon`
 reduces one row at a time, so a rank test can stop early; the hull calls it
-and, for its first simplex only, `normal_vector`.  `det` keeps its own
-elimination.
+and, for its first simplex only, `normal_vector`.  `determinants`, with
+`det` its one-matrix case, runs it row by row to resume from shared rows.
 """
 
 from __future__ import annotations
@@ -151,36 +151,48 @@ def normal_vector(rows):
     return primitive(_kernel_vector(reduced, pivots, free, ncols))
 
 
-def det(rows):
-    """Determinant by Bareiss's fraction-free elimination.
+def determinants(rows, selections):
+    """det of the int rows at each selection's n indices, rows of n entries,
+    by `bareiss`'s elimination carried row by row: a row is reduced by the
+    pivot rows before it and pivots at its first nonzero entry, so each
+    selection resumes from the rows it shares with the previous one.  The
+    determinant is the last pivot times the sign of the pivot columns' order."""
+    levels, out = [], []  # per row: (index, reduced row, pivot column, pivot, sign)
+    for selection in selections:
+        k = 0
+        while k < min(len(levels), len(selection)) and levels[k][0] == selection[k]:
+            k += 1
+        del levels[k:]
+        for i in selection[k:]:
+            if levels and not levels[-1][3]:
+                break
+            row, prev = rows[i], 1
+            for _, top, c, p, _ in levels:
+                f = row[c]
+                row = [(p * x - f * y) // prev for x, y in zip(row, top)]
+                prev = p
+            sign = levels[-1][4] if levels else 1
+            c = next((j for j, x in enumerate(row) if x), None)
+            if c is None:
+                levels.append((i, row, None, 0, 0))
+                break
+            # each earlier pivot column right of c is one inversion of the order
+            flips = sum(level[2] > c for level in levels)
+            levels.append((i, row, c, row[c], -sign if flips % 2 else sign))
+        full = len(levels) == len(selection)  # else a row reduced to 0
+        out.append((levels[-1][3] * levels[-1][4] if levels else 1) if full else 0)
+    return out
 
-    Integer rows give an int and are not rescaled.  Rational rows are scaled
-    to integers by their common denominator d first, and the result is
-    divided by d^n.
-    """
-    n = len(rows)
-    if all(type(x) is int for row in rows for x in row):
-        d, mat = 1, [list(row) for row in rows]
-    else:
-        d = common_denominator(x for row in rows for x in row)
-        mat = [list(scaled(row, d)) for row in rows]
-    sign, prev = 1, 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if mat[i][c]), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            sign = -sign
-        top = mat[c]
-        p = top[c]
-        for i in range(c + 1, n):
-            row = mat[i]
-            f = row[c]
-            mat[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
-        prev = p
-    result = sign * prev
-    return result if d == 1 else Q(result, d ** n)
+
+def det(rows):
+    """Determinant, the one-matrix case of `determinants`: an int for int
+    rows; rational rows are scaled to ints by their common denominator d
+    first, and the result is divided by d^n."""
+    ints = all(type(x) is int for row in rows for x in row)
+    d = 1 if ints else common_denominator(x for row in rows for x in row)
+    mat = rows if ints else [scaled(row, d) for row in rows]
+    result = determinants(mat, [range(len(rows))])[0]
+    return result if d == 1 else Q(result, d ** len(rows))
 
 
 def integer_kernel(rows):

@@ -3,10 +3,12 @@
 Terms are stored as {exponent tuple: coefficient}; zero coefficients are
 never stored, and exponents must be nonnegative ints.  Includes exact
 integration over rational polytopes, by triangulation and, on each
-simplex, an integer Dirichlet moment of the coordinates at its vertices per
-monomial (see `integrate`).  Products of integer affine forms are not
-expanded either: `product_values` evaluates one at integer points, and
-`progression_sum` sums it over a progression of them by Newton's formula.
+simplex, an integer Dirichlet moment of linear forms at its vertices: one
+per monomial of a polynomial, whose forms are the coordinates, or one for
+a product of linear forms, which is never expanded (see `integrate`).
+Products of integer affine forms are not expanded either: `product_values`
+evaluates one at integer points, and `progression_sum` sums it over a
+progression of them by Newton's formula.
 `compose_affine` is on no query path.
 """
 
@@ -227,38 +229,44 @@ def _dirichlet_moment(exp, columns, size):
     return sum(x * prod(map(factorial, a)) for a, x in product.items())
 
 
-def integrate(poly: Polynomial, p: Polytope, lattice) -> "Q":
-    """Exact integral of poly over p, with the measure on p's affine span
-    normalized so a fundamental cell of (lattice direction) ∩ span has
-    volume 1.
-
-    Over a simplex of dimension d with vertices w_0..w_d, scaled to ints by
-    the common denominator s, a monomial x^e of degree D is the product of
-    D coordinate forms, and its integral is the Dirichlet moment
+def integrate(integrand, p: Polytope, lattice) -> "Q":
+    """Exact integral over p of a `Polynomial`, or of a pair (forms, divisor):
+    the product of the int linear forms over the int divisor, as the top
+    Weyl term is; the measure on p's span gives a cell of (lattice
+    direction) ∩ span volume 1.  Over a simplex of dimension d with vertices
+    w_0..w_d, scaled to ints by their common denominator s, a product of D
+    linear forms l_k integrates to the Dirichlet moment
 
         jac * M / (unit * s^D * (D + d)!),  M = sum_a a! [t^a] prod_k L_k(t)^e_k,
 
-    with L_k(t) = sum_i w_i[k] t_i and jac / unit the simplex's
-    d!-normalized lattice volume from polytopes._simplices (Baldoni,
-    Berline, De Loera, Koeppe and Vergne, How to integrate a polynomial
-    over a simplex, 2011).  The coefficients of each degree are scaled to
-    ints by their common denominator, the terms are summed in ints over all
-    simplices, and each degree makes one Fraction.  A point's fan is the
-    one simplex (0,), with jac = unit = 1 and M = D! w_0^e, so the integral
-    over a point is poly there: the volume(point) = 1 convention.
+    with L_k(t) = sum_i l_k(w_i) t_i, each e_k = 1, and jac / unit the
+    simplex's d!-normalized lattice volume from polytopes._simplices
+    (Baldoni, Berline, De Loera, Koeppe and Vergne, How to integrate a
+    polynomial over a simplex, 2011).  A product of forms takes one moment
+    per simplex, never expanded; a polynomial one per monomial x^e, the
+    coordinate forms x_k taken e_k times.  The terms are summed in ints over
+    the top degree and the common denominator, making one Fraction.  A
+    point's fan is (0,), with jac = unit = 1 and M = D! prod_k l_k(w_0): the
+    integral over a point is the integrand there, as volume(point) = 1.
     """
-    if poly.num_vars != p.ambient_dim:
+    if isinstance(integrand, Polynomial):
+        n = integrand.num_vars
+        forms = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+        den = common_denominator(integrand.terms.values())
+        terms = [(exp, int(c * den)) for exp, c in integrand.terms.items()]
+    else:
+        forms, den = integrand
+        n, terms = len(forms[0]) if forms else p.ambient_dim, [((1,) * len(forms), 1)]
+    if n != p.ambient_dim:
         raise DomainError("polynomial/polytope dimension mismatch")
-    degrees = {}
-    for exp, coef in poly.terms.items():
-        degrees.setdefault(sum(exp), []).append((exp, coef))
-    scale, unit, simplices = _simplices(p, lattice)
-    columns = [(tuple(zip(*vertices)), jac) for vertices, jac in simplices]
-    total = ZERO
-    for degree, terms in degrees.items():
-        den = common_denominator(c for _, c in terms)
-        ints = [(exp, int(c * den)) for exp, c in terms]
-        moment = sum(jac * c * _dirichlet_moment(exp, cols, p.dim + 1)
-                     for cols, jac in columns for exp, c in ints)
-        total += Q(moment, den * unit * scale ** degree * factorial(degree + p.dim))
-    return total
+    scale, unit, jacs = _simplices(p, lattice)
+    # a term of degree e over the top degree D weighs s^(D - e) (D + d)! / (e + d)!
+    top, d = max((sum(exp) for exp, _ in terms), default=0), p.dim
+    terms = [(exp, c * scale ** (top - sum(exp)) * factorial(top + d) // factorial(sum(exp) + d))
+             for exp, c in terms]
+    values = [[sum(map(mul, a, w)) for a in forms] for w in p.points]
+    columns = [(tuple(zip(*(values[i] for i in simplex))), jac)
+               for simplex, jac in zip(p.fan, jacs)]
+    moment = sum(jac * c * _dirichlet_moment(exp, cols, d + 1)
+                 for cols, jac in columns for exp, c in terms)
+    return Q(moment, den * unit * scale ** top * factorial(top + d))

@@ -11,14 +11,14 @@ integral is taken relative to the affine span, normalized to a caller-chosen
 lattice.
 
 A plane hull is the ring of Andrew's monotone chain, `_chain`, stored by
-`_polygon`; any other hull is computed by an exact incremental
-(beneath-beyond) algorithm on triangulated boundary facets.  Dimensions
-here are small enough that asymptotics are irrelevant, and determinism
-matters more: points are always processed in lexicographic order.  Every
-builder gives one kind of fan, the pulling triangulation from vertex 0,
-the same way in every dimension: volumes and integrals need no
+`_polygon`, and a segment is its two ends; any other hull is computed by
+an exact incremental (beneath-beyond) algorithm on triangulated boundary
+facets.  Dimensions are small enough that asymptotics are irrelevant, and
+determinism matters more: points are processed in lexicographic order.
+Every builder gives one kind of fan, the pulling triangulation from vertex
+0, the same way in every dimension: volumes and integrals need no
 low-dimensional case.  A polygon reads it off its ring, and every other
-body takes it from `_pulling_fan`.
+body takes it from `_pulling_fan`, memoized by the facets' incidence.
 
 `hull` is the one place where rationals become ints: it rejects floats and
 scales its points once by their common denominator.  `_hull`, which `hull`
@@ -29,7 +29,7 @@ take no hull: `minkowski_sum` in the plane stores the `_chain` of the
 pairwise sums, and passes only a ring of 1 or 2 points, a point or a
 segment, to `_hull`; `dilate` scales the points and facet offsets, keeping
 the fan; and `newton_lift` knows its vertices and a superset of its facets
-and calls `_from_planes`.  Volumes take int determinants.
+and calls `_from_planes`.  A fan's int determinants take one pass.
 
 Lattice points are enumerated by slices in lattice coordinates: all span
 pivots but the last range over the bounding box, and the facet inequalities
@@ -48,8 +48,8 @@ from operator import and_, mul
 
 from .errors import DomainError, check_length
 from .lattices import AffineLattice
-from .linalg import (common_denominator, det, extend_echelon, normal_vector, primitive, rref,
-                     scaled, vsub)
+from .linalg import (common_denominator, det, determinants, extend_echelon, normal_vector,
+                     primitive, rref, scaled, vsub)
 from .rationals import Q, exact_point
 
 
@@ -113,13 +113,12 @@ class Polytope:
 
 
 def _hull_core(coords):
-    """Incremental hull of full-dimensional integer coords (dim k >= 1,
-    affine rank k).
+    """Incremental hull of full-dimensional integer coords (dim k >= 2,
+    affine rank k; `_hull` takes a segment's two ends itself).
 
     Returns (extreme indices sorted, merged facets sorted), a merged facet
     (normal, offset, vertex indices) with primitive normal and n.x <= b on the
-    hull; its vertices may include non-extreme boundary points.  In 1-D a
-    facet is a point, with normal +-(1,).
+    hull; its vertices may include non-extreme boundary points.
 
     Only the initial simplex's facets take an elimination.  A later facet
     joins p to a horizon ridge on a facet (n1, b1) that sees p and one
@@ -159,7 +158,7 @@ def _hull_core(coords):
     for omit in simplex_idx:
         verts = tuple(sorted(i for i in simplex_idx if i != omit))
         q0 = coords[verts[0]]
-        n = normal_vector([vsub(coords[i], q0) for i in verts[1:]]) if k > 1 else (1,)
+        n = normal_vector([vsub(coords[i], q0) for i in verts[1:]])
         if n is None:
             raise DomainError("degenerate facet hyperplane")
         add(verts, oriented(n, sum(map(mul, n, q0))))
@@ -226,11 +225,15 @@ def hull(points) -> Polytope:
 
 def _hull(points, den) -> Polytope:
     """Hull of the points p / den, for sorted distinct int tuples p and den > 0:
-    `_polygon` of the `_chain` in the plane, `_hull_core` in any other span."""
+    `_polygon` of the `_chain` in the plane, a segment's ends, else `_hull_core`."""
     base = points[0]
     span_basis, pivots = rref([vsub(p, base) for p in points[1:]])
     if len(pivots) == 2 == len(base):
         return _polygon(_chain(points), den)
+    if len(pivots) == 1:  # sorted along the row, whose pivot entry is > 0: two ends
+        top = primitive((den, points[-1][pivots[0]] - base[pivots[0]]))
+        return _polytope([base, points[-1]], den, span_basis, pivots,
+                         (((-1,), 0), (top[:1], top[1])), ((0, 1),))
     planes, facet_masks = [], []
     if pivots:
         coords = [tuple(p[j] - base[j] for j in pivots) for p in points]
@@ -271,7 +274,13 @@ def _pulling_fan(facet_masks, npts, dim):
     of its facets as bitmasks: a face with dim+1 vertices is a simplex, any
     other is coned from its lowest vertex over its facets that miss it, the
     maximal proper sets F & G for G a facet, so every top-level simplex
-    starts at vertex 0.  Returns the sorted tuple of vertex-index tuples."""
+    starts at vertex 0.  Returns the sorted tuple of vertex-index tuples,
+    kept by `_fan` in a bounded memo keyed by the set of masks alone."""
+    return _fan(frozenset(facet_masks), npts, dim)
+
+
+@lru_cache(maxsize=1024)
+def _fan(facet_masks, npts, dim):
     memo = {}
 
     def pull(face, dim):
@@ -294,13 +303,19 @@ def _from_planes(points, den, planes) -> Polytope:
     `planes` include every facet.
 
     A half-space's tight set is a face, so the facets are the maximal
-    proper tight sets, bitmasks over the points.  Restricted to span
+    proper tight sets, bitmasks over the points (`_facet_masks`).  In span
     coordinates c, n.p is n.p0 + sum_i c_i (n.row_i) / d, for the `rref`
-    rows of the span and their pivot entry d.  The fan is `_pulling_fan`'s.
-    A point cut off by a half-space, or not a vertex, raises DomainError.
+    rows of the span and their pivot entry d, or the identity and 1 for a
+    full-rank span.  The fan is `_pulling_fan`'s.  A point cut off by a
+    half-space, or not a vertex, raises DomainError.
     """
     base, everything = points[0], (1 << len(points)) - 1
-    rows, pivots = rref([vsub(p, base) for p in points[1:]])
+    echelon, ambient = [], range(len(base))
+    if any(extend_echelon(echelon, vsub(p, base)) and len(echelon) == len(base)
+           for p in points[1:]):
+        rows, pivots = [tuple(int(i == j) for j in ambient) for i in ambient], ambient
+    else:
+        rows, pivots = rref([vsub(p, base) for p in points[1:]])
     tight = {}
     for n, b in planes:
         slacks = [b - sum(map(mul, n, p)) for p in points]
@@ -310,10 +325,7 @@ def _from_planes(points, den, planes) -> Polytope:
         if 0 < mask < everything:
             tight.setdefault(mask, (n, b))
 
-    facet_masks = _maximal(tight)
-    for i in range(len(points)):
-        if reduce(and_, [m for m in facet_masks if m >> i & 1], everything) != 1 << i:
-            raise DomainError("a point of a polytope is not a vertex")
+    facet_masks = _facet_masks(frozenset(tight), len(points))
     d = rows[0][pivots[0]] if pivots else 1
     planes = []
     for n, b in map(tight.get, facet_masks):
@@ -322,6 +334,18 @@ def _from_planes(points, den, planes) -> Polytope:
     return _polytope(points, den, rows, pivots,
                      tuple((key[:-1], key[-1]) for key in sorted(planes)),
                      _pulling_fan(facet_masks, len(points), len(pivots)))
+
+
+@lru_cache(maxsize=1024)
+def _facet_masks(tight, npts):
+    """The maximal ones of a frozenset of tight masks over npts points, in a
+    bounded memo; DomainError, never cached, unless each point is the
+    intersection of the facets through it."""
+    facet_masks, everything = tuple(_maximal(tight)), (1 << npts) - 1
+    for i in range(npts):
+        if reduce(and_, [m for m in facet_masks if m >> i & 1], everything) != 1 << i:
+            raise DomainError("a point of a polytope is not a vertex")
+    return facet_masks
 
 
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
@@ -421,26 +445,24 @@ def _lattice_cell(span_basis, pivots, lattice: AffineLattice) -> int:
 
 
 def _simplices(p: Polytope, lattice: AffineLattice):
-    """(scale, unit, [(vertices, jac), ...]) for the simplices of p.fan:
-    scale is p.den = s, and the simplex vertices are p.points, the
-    vertices times s, looked up by index, as are their edges from the
-    apex, vertex 0, where every simplex starts; jac / unit is dim(p)!
-    times the simplex's volume in units of the lattice cell on p's span.
+    """(scale, unit, jacs), jacs[i] for the simplex p.fan[i], whose vertices
+    times scale = p.den = s are p.points at its indices, its apex vertex 0;
+    jac / unit is dim(p)! times its volume in lattice cells of p's span.
 
     Both determinants are taken in span coordinates (the entries at
     span_pivots): span_basis is an RREF times d, so the pivots' projection is
     injective on the span and the ratio is the lattice-normalized volume.
     Both are integer: jac is the |det| of the scaled edges, s^dim times
     that of the simplex, and unit is s^dim times the lattice cell's.  For a
-    point both are the 0x0 determinant, 1.
+    point both are the 0x0 determinant, 1.  One `determinants` pass takes
+    all jacs: the sorted fan's simplices share prefixes of their edges.
     """
     pivots = p.span_pivots
     cell = _lattice_cell(p.span_basis, pivots, lattice)
     ints = p.points
     edges = [[w[i] - ints[0][i] for i in pivots] for w in ints]
-    out = [([ints[i] for i in simplex], abs(det([edges[i] for i in simplex[1:]])))
-           for simplex in p.fan]
-    return p.den, cell * p.den ** p.dim, out
+    jacs = determinants(edges, [simplex[1:] for simplex in p.fan])
+    return p.den, cell * p.den ** p.dim, [abs(jac) for jac in jacs]
 
 
 def volume(p: Polytope, lattice: AffineLattice):
@@ -453,8 +475,8 @@ def volume(p: Polytope, lattice: AffineLattice):
     makes degree-0 polarization and fiber integration come out right: it
     falls out of its fan ((0,),), as a 0x0 determinant is 1 and 0! = 1.
     """
-    _, unit, simplices = _simplices(p, lattice)
-    return Q(sum(jac for _, jac in simplices), unit * factorial(p.dim))
+    _, unit, jacs = _simplices(p, lattice)
+    return Q(sum(jacs), unit * factorial(p.dim))
 
 
 def _lattice_body(p: Polytope, lattice: AffineLattice) -> Polytope:

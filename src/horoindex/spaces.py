@@ -10,9 +10,11 @@ Lambda(H), measure normalized to Lambda(H)).
 The index of a system of supports is computed by three independent routes:
 
 * mixed integral of the top Weyl component over the moment polytopes,
-  taken in ints: each monomial's integral over each simplex of a subset
-  sum is an integer Dirichlet moment at the simplex's scaled vertices, and
-  each degree makes one Fraction (`polynomials.integrate`),
+  taken in ints: the component is the product of the linear parts of the
+  face's `dimension_forms` over their divisor, never expanded, and its
+  integral over each simplex of a subset sum is one integer Dirichlet
+  moment of those forms at the simplex's scaled vertices, which makes one
+  Fraction per subset sum (`polynomials.integrate`),
 * mixed volume of the Gelfand-Tsetlin lifts of the moment polytopes, taken
   as the polarization of D -> vol(lift(D)) over the moment polytopes,
 * (on diagonals, quotient mode) the leading coefficient of the Hilbert
@@ -51,7 +53,7 @@ from .polarization import polarize
 from .polynomials import integrate, product_values, progression_sum
 from .polytopes import Polytope, _lattice_body, _slices, dilate, hull, lattice_points, volume
 from .rationals import Q, exact_point, format_point, format_rat, is_integral
-from .weyl import ChamberFace, dimension_forms, restricted_weyl, space_dims
+from .weyl import ChamberFace, dimension_forms, space_dims
 
 QUOTIENT_MODE = "quotient_by_commutator"
 GENERAL_MODE = "general"
@@ -92,10 +94,6 @@ class HorosphericalSpace:
         """How many supports an index query takes: dim of the space at hand."""
         p, m = self.dims
         return p if self.mode == QUOTIENT_MODE else m
-
-    @property
-    def weyl_restriction(self):
-        return restricted_weyl(self.face)
 
     def measure_lattice(self) -> AffineLattice:
         """The lattice normalizing all measures on the face's span."""
@@ -234,8 +232,10 @@ def _centered_polytope(support: SupportSet) -> Polytope:
 
 @lru_cache(maxsize=_MEMO_BOUND)
 def _integral_route(space: HorosphericalSpace):
-    """D -> integral of the top Weyl term over D, built once per space."""
-    _, phi = space.weyl_restriction
+    """D -> integral over D of the top Weyl term, the linear parts of the
+    face's `dimension_forms` over their divisor, built once per space."""
+    forms, divisor = dimension_forms(space.face)
+    phi = tuple(a for a, _ in forms), divisor
     lattice = space.measure_lattice()
     return "mixed-integral route", (
         lambda body: integrate(phi, body, lattice) if body.dim >= lattice.rank else 0)

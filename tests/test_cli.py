@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from horoindex import lattices, spaces
+from horoindex import lattices, spaces, weyl
 from horoindex.cli import main
 from horoindex.errors import RouteDisagreementError
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 BEZOUT_PROBLEM = {
     "group": {"gl": [3], "torus": 0},
@@ -157,7 +159,7 @@ def test_the_support_count_is_checked_before_any_route_is_built(tmp_path, capsys
     def expand(face):
         raise AssertionError("restricted_weyl ran before the support count was checked")
 
-    monkeypatch.setattr(spaces, "restricted_weyl", expand)
+    monkeypatch.setattr(weyl, "restricted_weyl", expand)
     monkeypatch.setattr(lattices, "bareiss", expand)
     for group, n in (({"gl": [7]}, 28), ({"torus": 1000}, 1000)):
         path = write(tmp_path, "problem.json", {"group": group})
@@ -165,6 +167,24 @@ def test_the_support_count_is_checked_before_any_route_is_built(tmp_path, capsys
         assert (code, out) == (3, "")
         assert json.loads(err) == {"error": "validation",
                                    "detail": f"need exactly {n} supports (= dim(G/P')), got 0"}
+
+
+@pytest.mark.parametrize("problem, golden", [("gl3.json", "gl3-index.out"),
+                                             ("gl3_wall.json", "gl3-wall-index.out")])
+def test_the_index_path_expands_no_weyl_polynomial(capsys, monkeypatch, problem, golden):
+    # the integral route integrates the top Weyl term as its linear forms;
+    # every module that binds restricted_weyl gets the raising stand-in
+    def expand(face):
+        raise AssertionError("restricted_weyl ran on the index path")
+
+    original = weyl.restricted_weyl
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "horoindex"]:
+        if getattr(module, "restricted_weyl", None) is original:
+            monkeypatch.setattr(module, "restricted_weyl", expand)
+    spaces.memo_clear()
+    spaces._integral_route.cache_clear()  # so the route is built again
+    code, out, _ = run_cli(["index", str(GOLDEN / problem)], capsys)
+    assert (code, out) == (0, (GOLDEN / golden).read_text())
 
 
 def test_mixed_volume(tmp_path, capsys):

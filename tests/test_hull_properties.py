@@ -18,13 +18,16 @@ a Minkowski sum in the plane is the chain of the pairwise sums; the sum
 must store exactly what `_hull` of the pairwise sums stores, field by
 field.  As `_hull` shares the chain, both are also checked against the
 oracle on plane point sets with collinear, interior and repeated points,
-and their fans against `_pulling_fan` of their facets.
+and their fans against `_pulling_fan` of their facets.  A segment in any
+dimension is its two ends, with no `_hull_core`, and is checked the same
+way.
 """
 
 import itertools
 from collections import Counter
 from math import factorial, lcm
 from operator import mul
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -497,3 +500,30 @@ def test_planar_minkowski_sums_match_the_fraction_kernel(pair):
     p, q = pair
     assert_is_the_fraction_hull(minkowski_sum(p, q), [
         tuple(x + y for x, y in zip(v, w)) for v in p.vertices for w in q.vertices])
+
+
+# -- segments: the two ends, with no core --------------------------------------
+
+@st.composite
+def collinear_point_sets(draw):
+    """Two or more distinct points on a line in dimension 1-4 over the
+    denominator 1, 2 or 3, shuffled, with repeats."""
+    n, den = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    origin = [draw(st.integers(-3, 3)) for _ in range(n)]
+    step = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any))
+    ts = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=6, unique=True))
+    pts = [tuple(Q(o + t * s, den) for o, s in zip(origin, step)) for t in ts]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    return draw(st.permutations(pts))
+
+
+@PROPERTY
+@given(collinear_point_sets())
+def test_segments_are_their_two_ends_with_no_core(points):
+    def no_core(coords):
+        raise AssertionError("_hull_core was called on a segment")
+
+    with patch.object(polytopes, "_hull_core", no_core):
+        p = hull(points)
+    assert (p.dim, len(p.points), p.fan) == (1, 2, ((0, 1),))
+    assert_is_the_fraction_hull(p, points)
