@@ -14,10 +14,10 @@ weight row (Pegel, Order 2018), and as rows are non-increasing, an entry
 strictly between its upper neighbours is linked to nothing above its row.
 So vertices copy weight entries: they are int tuples for an int weight,
 and the vertices for the weight w / d are those for w divided by d.
-`gt_polytope` is the hull of those vertices, a plain `Polytope`.  Every
-weight is validated by one check, `_check_weight` (nonempty,
-non-increasing; int entries stay ints), and `gt_lattice_count` also
-insists on integral entries.
+`gt_polytope` is built from them and the interlacing rows as a lift is,
+with no hull: a plain `Polytope`.  Every weight is validated by one check,
+`_check_weight` (nonempty, non-increasing; int entries stay ints), and
+`gt_lattice_count` also insists on integral entries.
 
 The map weight -> polytope is Minkowski-linear on the dominant cone, the
 number of integral patterns equals dim V_lambda, and the (span-relative)
@@ -37,12 +37,13 @@ enumerate each fiber once.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .errors import DomainError
-from .polytopes import Polytope, _from_planes, hull
+from .linalg import common_denominator, scaled
+from .polytopes import Polytope, _from_planes
 from .rationals import Q, exact_point, format_point, is_integral
-from .weyl import ChamberFace
+from .weyl import ChamberFace, GroupDescriptor
 
 
 def pattern_positions(n: int):
@@ -78,17 +79,20 @@ def _gt_vertices(weight):
 
 @lru_cache(maxsize=None)
 def gt_polytope(weight) -> Polytope:
-    """The Gelfand-Tsetlin polytope of a dominant weight (rational allowed).
-
-    Its vertices are built directly, each entry copying an upper neighbour:
-    a block of tightly linked entries is pinned only through the weight row.
-    """
+    """The Gelfand-Tsetlin polytope of a dominant weight (rational allowed),
+    built as a lift is, with no hull: `_from_planes` of the vertices of the
+    weight w scaled by its common denominator, and the full chamber's
+    interlacing rows at w, a.(w, x) <= 0 as a[n:].x <= -a[:n].w."""
     weight = _check_weight(weight)
     n = len(weight)
     if n == 1:
         # no pattern coordinates; callers detect this via pattern_dim(1) == 0
         raise DomainError("GL(1) has an empty pattern space")
-    return hull(_gt_vertices(weight))
+    d = common_denominator(weight)
+    w = scaled(weight, d)
+    rows = interlacing_rows(ChamberFace.full_chamber(GroupDescriptor((n,))))
+    return _from_planes(_gt_vertices(w), d,
+                        [(a[n:], -sum(x * y for x, y in zip(a[:n], w))) for a, _ in rows])
 
 
 def gt_lattice_count(weight) -> int:
@@ -99,6 +103,7 @@ def gt_lattice_count(weight) -> int:
         raise DomainError(f"weight {format_point(weight)} is not integral")
     weight = tuple(x.numerator for x in weight)
 
+    @cache  # rows below distinct patterns repeat: count each row once per call
     def count(row):
         if len(row) == 1:
             return 1

@@ -14,7 +14,7 @@ results off the `bareiss` form: `rref` gives int rows over their least
 common denominator, and the kernel basis is integer.  `extend_echelon`
 reduces one row at a time, so a rank test can stop early; the hull calls it
 and, for its first simplex only, `normal_vector`.  `determinants`, with
-`det` its one-matrix case, runs it row by row to resume from shared rows.
+`det` its one-matrix case, takes one forward elimination per matrix.
 """
 
 from __future__ import annotations
@@ -153,34 +153,25 @@ def normal_vector(rows):
 
 def determinants(rows, selections):
     """det of the int rows at each selection's n indices, rows of n entries,
-    by `bareiss`'s elimination carried row by row: a row is reduced by the
-    pivot rows before it and pivots at its first nonzero entry, so each
-    selection resumes from the rows it shares with the previous one.  The
-    determinant is the last pivot times the sign of the pivot columns' order."""
-    levels, out = [], []  # per row: (index, reduced row, pivot column, pivot, sign)
+    by one forward fraction-free (Bareiss) elimination per selection: each
+    step pivots on the first row with a nonzero leading entry, a swap
+    flipping the sign, and drops that row and column, so the last pivot is
+    the determinant.  Nothing is carried from one selection to the next."""
+    out = []
     for selection in selections:
-        k = 0
-        while k < min(len(levels), len(selection)) and levels[k][0] == selection[k]:
-            k += 1
-        del levels[k:]
-        for i in selection[k:]:
-            if levels and not levels[-1][3]:
+        mat, sign, prev = [rows[i] for i in selection], 1, 1
+        while mat:
+            k = next((i for i, row in enumerate(mat) if row[0]), None)
+            if k is None:
+                sign = 0
                 break
-            row, prev = rows[i], 1
-            for _, top, c, p, _ in levels:
-                f = row[c]
-                row = [(p * x - f * y) // prev for x, y in zip(row, top)]
-                prev = p
-            sign = levels[-1][4] if levels else 1
-            c = next((j for j, x in enumerate(row) if x), None)
-            if c is None:
-                levels.append((i, row, None, 0, 0))
-                break
-            # each earlier pivot column right of c is one inversion of the order
-            flips = sum(level[2] > c for level in levels)
-            levels.append((i, row, c, row[c], -sign if flips % 2 else sign))
-        full = len(levels) == len(selection)  # else a row reduced to 0
-        out.append((levels[-1][3] * levels[-1][4] if levels else 1) if full else 0)
+            if k:
+                mat[0], mat[k], sign = mat[k], mat[0], -sign
+            top, p = mat[0][1:], mat[0][0]
+            mat = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], top)]
+                   for row in mat[1:]]
+            prev = p
+        out.append(sign * prev)
     return out
 
 

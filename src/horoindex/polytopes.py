@@ -11,10 +11,12 @@ integral is taken relative to the affine span, normalized to a caller-chosen
 lattice.
 
 A plane hull is the ring of Andrew's monotone chain, `_chain`, stored by
-`_polygon`, and a segment is its two ends; any other hull is computed by
-an exact incremental (beneath-beyond) algorithm on triangulated boundary
-facets.  Dimensions are small enough that asymptotics are irrelevant, and
-determinism matters more: points are processed in lexicographic order.
+`_polygon`; `_from_planes` stores every other body from its vertices and
+half-spaces.  Off the plane a hull is a point, a segment's two ends, or
+the output of an exact incremental (beneath-beyond) algorithm on
+triangulated boundary facets, `_hull_core`.  Dimensions are small enough
+that asymptotics are irrelevant, and determinism matters more: points
+are processed in lexicographic order.
 Every builder gives one kind of fan, the pulling triangulation from vertex
 0, the same way in every dimension: volumes and integrals need no
 low-dimensional case.  A polygon reads it off its ring, and every other
@@ -22,14 +24,14 @@ body takes it from `_pulling_fan`, memoized by the facets' incidence.
 
 `hull` is the one place where rationals become ints: it rejects floats and
 scales its points once by their common denominator.  `_hull`, which `hull`
-calls on those ints, eliminates only for the span and, off the plane, the
+calls on those ints, eliminates only for the span and, in `_hull_core`, the
 first simplex's facets: later facet planes come from the pencil of the two
-planes through a ridge, extreme vertices from a rank test.  Three builders
+planes through a ridge, extreme vertices from a rank test.  Four builders
 take no hull: `minkowski_sum` in the plane stores the `_chain` of the
 pairwise sums, and passes only a ring of 1 or 2 points, a point or a
 segment, to `_hull`; `dilate` scales the points and facet offsets, keeping
-the fan; and `newton_lift` knows its vertices and a superset of its facets
-and calls `_from_planes`.  A fan's int determinants take one pass.
+the fan; and `newton_lift` and `gt_polytope` know their vertices and a
+superset of their facets.  A fan's int determinants take one elimination each.
 
 Lattice points are enumerated by slices in lattice coordinates: all span
 pivots but the last range over the bounding box, and the facet inequalities
@@ -225,29 +227,26 @@ def hull(points) -> Polytope:
 
 def _hull(points, den) -> Polytope:
     """Hull of the points p / den, for sorted distinct int tuples p and den > 0:
-    `_polygon` of the `_chain` in the plane, a segment's ends, else `_hull_core`."""
+    `_polygon` of the `_chain` in the plane, else `_from_planes` of a point,
+    a segment's ends bounded along its span row r, or `_hull_core`'s extreme
+    points and planes n.c <= b, c = p - base at the pivots, as n.p <= b + n.base."""
     base = points[0]
     span_basis, pivots = rref([vsub(p, base) for p in points[1:]])
     if len(pivots) == 2 == len(base):
         return _polygon(_chain(points), den)
+    if not pivots:
+        return _from_planes([base], den, ())
     if len(pivots) == 1:  # sorted along the row, whose pivot entry is > 0: two ends
-        top = primitive((den, points[-1][pivots[0]] - base[pivots[0]]))
-        return _polytope([base, points[-1]], den, span_basis, pivots,
-                         (((-1,), 0), (top[:1], top[1])), ((0, 1),))
-    planes, facet_masks = [], []
-    if pivots:
-        coords = [tuple(p[j] - base[j] for j in pivots) for p in points]
-        extreme, merged = _hull_core(coords)
-        # base, the smallest point, is extreme, so the span coordinates stay
-        points = [points[i] for i in extreme]
-        position = {v: i for i, v in enumerate(extreme)}
-        for n, b, vs in merged:
-            # n.(den c) <= b is (den n).c <= b in span coordinates c
-            planes.append(primitive(tuple(den * a for a in n) + (b,)))
-            facet_masks.append(sum(1 << position[v] for v in vs if v in position))
-    return _polytope(points, den, span_basis, pivots,
-                     tuple((key[:-1], key[-1]) for key in sorted(planes)),
-                     _pulling_fan(facet_masks, len(points), len(pivots)))
+        row, end = span_basis[0], points[-1]
+        return _from_planes([base, end], den, [(row, sum(map(mul, row, end))),
+                                               ([-x for x in row], -sum(map(mul, row, base)))])
+    extreme, merged = _hull_core([tuple(p[j] - base[j] for j in pivots) for p in points])
+    planes = []
+    for n, b, _ in merged:
+        at = dict(zip(pivots, n))
+        a = [at.get(j, 0) for j in range(len(base))]
+        planes.append((a, b + sum(map(mul, a, base))))
+    return _from_planes([points[i] for i in extreme], den, planes)
 
 
 def _polytope(points, den, span_basis, pivots, facets, fan) -> Polytope:
@@ -298,9 +297,10 @@ def _fan(facet_masks, npts, dim):
 
 
 def _from_planes(points, den, planes) -> Polytope:
-    """What `_hull` gives for the sorted distinct int points p / den, with
-    no hull, when every p is a vertex and the int half-spaces n.p <= b in
-    `planes` include every facet.
+    """The stored form of the polytope whose vertices are the sorted
+    distinct int points p / den, when the int half-spaces n.p <= b in
+    `planes` include every facet: the one builder off the plane, for
+    `_hull`, `newton_lift` and `gt_polytope`.
 
     A half-space's tight set is a face, so the facets are the maximal
     proper tight sets, bitmasks over the points (`_facet_masks`).  In span
@@ -454,8 +454,8 @@ def _simplices(p: Polytope, lattice: AffineLattice):
     injective on the span and the ratio is the lattice-normalized volume.
     Both are integer: jac is the |det| of the scaled edges, s^dim times
     that of the simplex, and unit is s^dim times the lattice cell's.  For a
-    point both are the 0x0 determinant, 1.  One `determinants` pass takes
-    all jacs: the sorted fan's simplices share prefixes of their edges.
+    point both are the 0x0 determinant, 1.  One `determinants` call takes
+    all jacs, one elimination per simplex.
     """
     pivots = p.span_pivots
     cell = _lattice_cell(p.span_basis, pivots, lattice)

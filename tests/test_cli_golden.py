@@ -19,7 +19,9 @@ over two rational points on the rank-0 lattice of the plane, where each
 subset sum is a point; and `moment` and `index` of the README's
 general-mode Bezout problem, whose moment polytopes are segments.  To capture the expected text again, run
 `PYTHONPATH=src python tests/test_cli_golden.py --write`; a change of output
-is then a reviewed diff of the `.out` files.
+is then a reviewed diff of the `.out` files.  `python tests/test_cli_golden.py
+--console` runs every case through the installed `horoindex` console script
+instead and exits 1, naming the first case that fails or prints other text.
 
 The same text must come out whichever way the input spells its numbers: a
 JSON int, an integral string such as "4/2", or a non-integral "p/q" string
@@ -29,6 +31,7 @@ not in lowest terms.
 import contextlib
 import io
 import json
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -125,6 +128,23 @@ def test_stdout_does_not_depend_on_how_numbers_are_spelled(case, spelling, tmp_p
     assert run_case(argv) == (GOLDEN / f"{case}.out").read_text()
 
 
+def console_mismatch():
+    """The first case, in sorted order, whose run through the installed
+    `horoindex` console script exits nonzero or prints other than its `.out`
+    file, or None."""
+    for name, argv in sorted(CASES.items()):
+        argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+        out = subprocess.run(["horoindex", *argv], capture_output=True, text=True)
+        if out.returncode or out.stdout != (GOLDEN / f"{name}.out").read_text():
+            return name
+    return None
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     for name, argv in sorted(CASES.items()):
         (GOLDEN / f"{name}.out").write_text(run_case(argv))
+elif __name__ == "__main__" and sys.argv[1:] == ["--console"]:
+    mismatch = console_mismatch()
+    if mismatch:
+        sys.exit(f"horoindex stdout differs from tests/golden/{mismatch}.out")
+    print(f"{len(CASES)} golden cases match through the horoindex console script")

@@ -1,3 +1,5 @@
+import itertools
+import json
 import random
 
 import pytest
@@ -8,6 +10,8 @@ from horoindex import (AffineLattice, ChamberFace, DomainError,
                        gt_polytope, hull, integrate, lattice_points,
                        minkowski_sum, newton_lift, pattern_dim,
                        pattern_positions, restricted_weyl, volume)
+from horoindex import polytopes
+from horoindex.cli import main
 from horoindex.gelfand_tsetlin import _check_weight, _gt_vertices
 from horoindex.linalg import rank
 from interlacing import contains_pattern, gt_inequalities
@@ -51,6 +55,30 @@ def test_count_equals_weyl_dimension():
         for _ in range(4):
             lam = random_dominant(rng, n)
             assert gt_lattice_count(lam) == dim_irrep(g, lam)
+
+
+def test_count_counts_many_patterns_without_the_weyl_formula():
+    weight = (20, 16, 12, 8, 4, 0)
+    assert gt_lattice_count(weight) == dim_irrep(GroupDescriptor((6,)), weight) == 30517578125
+
+
+def test_gt_polytope_is_the_hull_of_its_vertices_with_no_core(monkeypatch, capsys):
+    weights = [lam for n in (2, 3, 4) for lam in itertools.product(range(4), repeat=n)
+               if all(a >= b for a, b in zip(lam, lam[1:]))]
+    weights += [(Q(5, 2), Q(1, 3), 0), (Q(3, 2), Q(1, 2), Q(1, 2), Q(-1, 3))]
+    oracles = [hull(_gt_vertices(_check_weight(lam))) for lam in weights]
+
+    def no_core(coords):
+        raise AssertionError("_hull_core was called on a Gelfand-Tsetlin polytope")
+
+    gt_polytope.cache_clear()
+    monkeypatch.setattr(polytopes, "_hull_core", no_core)
+    for lam, oracle in zip(weights, oracles):
+        gt = gt_polytope(lam)
+        for field in ("den", "points", "span_basis", "span_pivots", "facets", "fan"):
+            assert getattr(gt, field) == getattr(oracle, field), (lam, field)
+    assert main(["gc", "--n", "4", "--weight", "3,2,1,0"]) == 0
+    assert json.loads(capsys.readouterr().out)["volume"] == "1"
 
 
 def test_degenerate_weight_gives_lower_dimensional_polytope():

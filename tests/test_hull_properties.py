@@ -20,11 +20,14 @@ field.  As `_hull` shares the chain, both are also checked against the
 oracle on plane point sets with collinear, interior and repeated points,
 and their fans against `_pulling_fan` of their facets.  A segment in any
 dimension is its two ends, with no `_hull_core`, and is checked the same
-way.
+way, and so are single points and Minkowski sums of points and parallel
+segments off the plane, whose stored forms `_from_planes` builds with no
+core either.
 """
 
 import itertools
 from collections import Counter
+from functools import reduce
 from math import factorial, lcm
 from operator import mul
 from unittest.mock import patch
@@ -527,3 +530,32 @@ def test_segments_are_their_two_ends_with_no_core(points):
         p = hull(points)
     assert (p.dim, len(p.points), p.fan) == (1, 2, ((0, 1),))
     assert_is_the_fraction_hull(p, points)
+
+
+@st.composite
+def collinear_sums(draw):
+    """A point, or one to three points and segments along one direction in
+    dimension 1, 3 or 4, each over the denominator 1, 2 or 3: their
+    Minkowski sum is a point or a segment."""
+    n = draw(st.sampled_from([1, 3, 4]))
+    step = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any))
+    bodies = []
+    for _ in range(draw(st.integers(1, 3))):
+        den = draw(st.integers(1, 3))
+        origin = [draw(st.integers(-3, 3)) for _ in range(n)]
+        ts = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=2, unique=True))
+        bodies.append([tuple(Q(o + t * s, den) for o, s in zip(origin, step)) for t in ts])
+    return bodies
+
+
+@PROPERTY
+@given(collinear_sums())
+def test_points_and_collinear_sums_are_the_fraction_hull_with_no_core(bodies):
+    def no_core(coords):
+        raise AssertionError("_hull_core was called on a point or a segment")
+
+    with patch.object(polytopes, "_hull_core", no_core):
+        p = reduce(minkowski_sum, map(hull, bodies))
+    sums = [tuple(map(sum, zip(*vs))) for vs in itertools.product(*bodies)]
+    assert p.dim == (1 if len(set(sums)) > 1 else 0)
+    assert_is_the_fraction_hull(p, sums)

@@ -7,7 +7,9 @@ rows divided by their pivot entries; `solve` is the `rref`-based solver of
 returns an integer basis instead of the canonical rational one, so it must
 have the oracle's length and span the oracle's kernel.  `normal_vector`
 takes integer rows; on the rows scaled to ints, which keeps the kernel, it
-must be the primitive generator.
+must be the primitive generator.  `determinants` must give each
+selection's `fraction_det`, whatever the selection shares with the one
+before it.
 """
 
 from math import gcd
@@ -18,8 +20,8 @@ from hypothesis import strategies as st
 import fraction_kernel as oracle
 from bareiss_solve import solve
 from horoindex import Q
-from horoindex.linalg import (common_denominator, normal_vector, nullspace, rank,
-                              rref, scaled)
+from horoindex.linalg import (common_denominator, determinants, normal_vector, nullspace,
+                              rank, rref, scaled)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=400)
 
@@ -98,3 +100,41 @@ def test_normal_vector_is_the_primitive_kernel_generator(case):
     assert n == tuple(x // g for x in basis[0])
     unit = oracle.clear_denominators(oracle.nullspace(rows)[0])
     assert n in (unit, tuple(-x for x in unit))
+
+
+@st.composite
+def row_selections(draw):
+    """Up to 7 int rows of n = 0-4 entries, some zero, repeated or sums of
+    others, and up to 8 selections of n row indices: each keeps a prefix of
+    the one before (all of it, part of it or none) or permutes it, and
+    indices may repeat, so some selections are singular."""
+    n = draw(st.integers(0, 4))
+    rows = []
+    for _ in range(draw(st.integers(max(n, 1), 7))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "repeat", "sum"]))
+        if kind == "zero":
+            rows.append((0,) * n)
+        elif kind == "repeat" and rows:
+            rows.append(draw(st.sampled_from(rows)))
+        elif kind == "sum" and len(rows) >= 2:
+            rows.append(tuple(a + b for a, b in zip(rows[-1], rows[-2])))
+        else:
+            rows.append(tuple(draw(st.integers(-4, 4)) for _ in range(n)))
+    index = st.integers(0, len(rows) - 1)
+    selections = [[draw(index) for _ in range(n)]]
+    for _ in range(draw(st.integers(0, 7))):
+        if draw(st.booleans()):
+            selections.append(draw(st.permutations(selections[-1])))
+        else:
+            keep = draw(st.integers(0, n))
+            selections.append(selections[-1][:keep] + [draw(index) for _ in range(n - keep)])
+    return rows, selections
+
+
+@PROPERTY
+@given(row_selections())
+def test_determinants_match_the_fraction_det(case):
+    rows, selections = case
+    expected = [oracle.fraction_det([[Q(x) for x in rows[i]] for i in s]) for s in selections]
+    assert determinants(rows, selections) == expected
+    assert determinants(rows, [()]) == [1]

@@ -1,9 +1,9 @@
 """Property tests of the kernels that measure a Minkowski subset sum.
 
 * `_simplices` takes the jacobians of a whole fan in one `determinants`
-  pass, each simplex resuming from the edge rows it shares with the one
-  before; each jacobian must be the `Fraction` determinant of its simplex's
-  edges at the span pivots, on every kind of body the library builds.
+  call, one elimination per simplex; each jacobian must be the `Fraction`
+  determinant of its simplex's edges at the span pivots, on every kind of
+  body the library builds.
 * The integral route integrates the top Weyl term as the product of the
   linear parts of `dimension_forms`, never expanded; it must give what the
   expanded polynomial gives to `integrate` and to the expansion integrator.
