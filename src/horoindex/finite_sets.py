@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .errors import DomainError
 from .lattices import AffineLattice
 from .polytopes import Polytope, dilate, hull, lattice_points
-from .rationals import Q, format_point
+from .rationals import exact_point, format_point
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class FiniteSet:
     lattice: AffineLattice = field(default=None)
 
     def __post_init__(self):
-        pts = frozenset(tuple(Q(x) for x in p) for p in self.points)
+        pts = frozenset(exact_point(p, "finite-set points") for p in self.points)
         if not pts:
             raise DomainError("finite set must be nonempty")
         dims = {len(p) for p in pts}

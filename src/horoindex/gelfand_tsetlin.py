@@ -132,9 +132,8 @@ def free_pattern_entries(face: ChamberFace):
 def _free_entries(face: ChamberFace):
     """`free_pattern_entries` as a tuple of tuples, computed once per face."""
     return tuple(tuple(i for i, (r, c) in enumerate(pattern_positions(n))
-                       if face.block_of_column(factor, c - 1)
-                       != face.block_of_column(factor, c + n - r - 1))
-                 for factor, n in enumerate(face.group.gl_factors))
+                       if cols[c - 1] != cols[c + n - r - 1])
+                 for cols in face.columns for n in [len(cols)])
 
 
 def fiber_vertices(face: ChamberFace, face_coords):
@@ -149,10 +148,11 @@ def fiber_vertices(face: ChamberFace, face_coords):
 
 @lru_cache(maxsize=4096)
 def _fiber_vertices(face: ChamberFace, face_coords):
-    weight, pos, per_factor = face.expand(face_coords), 0, []
-    for idx, n in zip(_free_entries(face), face.group.gl_factors):
-        block, pos = weight[pos:pos + n], pos + n
-        vs = _gt_vertices(_check_weight(block))
+    if len(face_coords) != face.dim:
+        raise DomainError("face coordinate length mismatch")
+    per_factor = []
+    for idx, cols in zip(_free_entries(face), face.columns):
+        vs = _gt_vertices(_check_weight(tuple(face_coords[c] for c in cols)))
         per_factor.append(sorted({tuple(v[i] for i in idx) for v in vs}))
     return tuple(sum(combo, ()) for combo in itertools.product(*per_factor))
 
@@ -166,18 +166,18 @@ def interlacing_rows(face: ChamberFace):
     same coordinate holds on the whole face and is left out."""
     free = _free_entries(face)
     width = face.dim + sum(map(len, free))
-    rows, first, column = set(), 0, itertools.count(face.dim)  # first: the factor's first block
-    for factor, n in enumerate(face.group.gl_factors):
-        entry = {(n, c): first + face.block_of_column(factor, c - 1) for c in range(1, n + 1)}
+    rows, column = set(), itertools.count(face.dim)
+    for cols, idx in zip(face.columns, free):
+        n = len(cols)
+        entry = {(n, c): cols[c - 1] for c in range(1, n + 1)}
         for i, (r, c) in enumerate(pattern_positions(n)):
-            entry[r, c] = next(column) if i in free[factor] else entry[n, c]
+            entry[r, c] = next(column) if i in idx else entry[n, c]
         for r, c in pattern_positions(n):  # x[r+1][c] >= x[r][c] >= x[r+1][c+1]
             for upper, lower in (((r + 1, c), (r, c)), ((r, c), (r + 1, c + 1))):
                 if entry[upper] != entry[lower]:
                     a = [0] * width
                     a[entry[lower]], a[entry[upper]] = 1, -1
                     rows.add(tuple(a))
-        first += len(face.blocks[factor])
     return tuple((a, 0) for a in sorted(rows))
 
 

@@ -214,18 +214,15 @@ def _lru(memo, key, compute):
 
 def _centered_polytope(support: SupportSet) -> Polytope:
     """The hull of the support's weights less the central part of the
-    first: per GL factor its last block coordinate, taken from all of the
-    factor's block coordinates, and its torus coordinates, taken from
-    theirs.  It is kept in the moment-polytope memo under the moved
+    first: per GL factor the coordinate its last column reads, taken from
+    all of the factor's block coordinates, and its torus coordinates, taken
+    from theirs.  It is kept in the moment-polytope memo under the moved
     weights, so supports that are central translates of each other share
     one hull."""
     face, weights = support.space.face, support.weights
-    reference, end = [], 0
-    for sizes in face.blocks:
-        end += len(sizes)
-        reference += [end - 1] * len(sizes)
-    reference += range(end, face.dim)
-    shift = [weights[0][j] for j in reference]
+    w0 = weights[0]
+    shift = [w0[cols[-1]] for cols in face.columns for _ in range(cols[0], cols[-1] + 1)]
+    shift += w0[face.num_blocks:]
     moved = tuple(tuple(x - t for x, t in zip(w, shift)) for w in weights)
     return _lru(_moments, moved, lambda: hull(moved))
 

@@ -13,7 +13,11 @@ The dimension polynomial of an irreducible representation is
 
 a polynomial of degree (dim G - rank G)/2.  Chamber faces are given by
 partitions of each factor's coordinates into consecutive blocks; weights on
-the face are constant on each block.  On a face, a pair i < j inside one
+the face are constant on each block.  Each face maps its weight columns to
+the face coordinates they read once, in `ChamberFace.columns`; moving
+between weights and face coordinates, dominance on the face, the Weyl
+forms, the Gelfand-Tsetlin entries a face pins and the central translation
+of supports all read that map.  On a face, a pair i < j inside one
 block contributes (j - i)/(j - i) = 1, and a cross-block pair the integer
 affine form c_I - c_J + (j - i) in the block coordinates c.  So F restricted
 to a face is a product of integer forms over one integer divisor
@@ -87,9 +91,13 @@ class ChamberFace:
     the coordinates into consecutive blocks.  Weights on the face are
     constant on each block, with block values non-increasing.
 
-    `num_blocks` and `dim`, the dimension of the face = block count + torus
-    rank = rank of its weight lattice, are set once, at construction; they
-    are not fields, so equality and hashing read only group and blocks."""
+    `columns` holds, per GL factor, the face coordinate that each weight
+    column reads, blocks numbered across the factors in order; the torus
+    coordinates follow the `num_blocks` block coordinates.  Every reader of
+    the face's layout reads `columns`.  It, `num_blocks` and `dim`, the
+    dimension of the face = block count + torus rank = rank of its weight
+    lattice, are set once, at construction; they are not fields, so
+    equality and hashing read only group and blocks."""
 
     group: GroupDescriptor
     blocks: tuple  # one tuple of block sizes per GL factor
@@ -102,57 +110,39 @@ class ChamberFace:
         for sizes, n in zip(blocks, self.group.gl_factors):
             if any(s < 1 for s in sizes) or sum(sizes) != n:
                 raise DomainError(f"block sizes {sizes} do not partition {n} coordinates")
-        object.__setattr__(self, "num_blocks", sum(len(bs) for bs in blocks))
+        block = itertools.count()  # blocks are numbered across the factors in order
+        object.__setattr__(self, "columns", tuple(
+            tuple(b for size in sizes for b in [next(block)] * size) for sizes in blocks))
+        object.__setattr__(self, "num_blocks", next(block))
         object.__setattr__(self, "dim", self.num_blocks + self.group.torus_rank)
 
-    def block_of_column(self, factor: int, col: int) -> int:
-        """Block index (within the factor) of coordinate position col (0-based)."""
-        acc = 0
-        for b, size in enumerate(self.blocks[factor]):
-            acc += size
-            if col < acc:
-                return b
-        raise DomainError("column out of range")
-
     def face_coordinates(self, weight):
-        """Block coordinates of a block-constant weight; raises otherwise."""
+        """Block coordinates of a block-constant weight, each read off the
+        block's first column; raises otherwise."""
         weight = exact_point(weight, "weights")
         if len(weight) != self.group.rank:
             raise DomainError("weight length does not match group rank")
-        out = []
-        pos = 0
-        for sizes in self.blocks:
-            for size in sizes:
-                vals = weight[pos:pos + size]
-                if any(v != vals[0] for v in vals):
+        out, pos = [], 0
+        for cols in self.columns:
+            for c in cols:
+                if c == len(out):
+                    out.append(weight[pos])
+                elif weight[pos] != out[c]:
                     raise DomainError(f"weight {format_point(weight)} is not constant "
                                       f"on the face blocks")
-                out.append(vals[0])
-                pos += size
-        out.extend(weight[pos:])
-        return tuple(out)
+                pos += 1
+        return tuple(out) + weight[pos:]
 
     def expand(self, face_coords):
         """Full weight from block coordinates, whose entries it copies."""
         if len(face_coords) != self.dim:
             raise DomainError("face coordinate length mismatch")
-        out = []
-        i = 0
-        for sizes in self.blocks:
-            for size in sizes:
-                out.extend([face_coords[i]] * size)
-                i += 1
-        out.extend(face_coords[i:])
-        return tuple(out)
+        return (tuple(face_coords[c] for cols in self.columns for c in cols)
+                + tuple(face_coords[self.num_blocks:]))
 
     def face_contains_coords(self, face_coords) -> bool:
-        i = 0
-        for sizes in self.blocks:
-            vals = face_coords[i:i + len(sizes)]
-            if any(vals[j] < vals[j + 1] for j in range(len(vals) - 1)):
-                return False
-            i += len(sizes)
-        return True
+        return all(face_coords[b] >= face_coords[b + 1]
+                   for cols in self.columns for b in range(cols[0], cols[-1]))
 
     def full_chamber(group: GroupDescriptor) -> "ChamberFace":
         return ChamberFace(group, tuple(tuple([1] * n) for n in group.gl_factors))
@@ -169,16 +159,14 @@ def dimension_forms(face: ChamberFace):
     blocks I and J: a = e_I - e_J and gap = j - i.  divisor is the product
     of the gaps.  The roots inside one block contribute 1 and are left out.
     """
-    forms, divisor, first = [], 1, 0  # first: face index of the factor's first block
-    for factor, n in enumerate(face.group.gl_factors):
-        block = [first + face.block_of_column(factor, col) for col in range(n)]
-        for i, j in itertools.combinations(range(n), 2):
-            if block[i] != block[j]:
+    forms, divisor = [], 1
+    for cols in face.columns:
+        for i, j in itertools.combinations(range(len(cols)), 2):
+            if cols[i] != cols[j]:
                 a = [0] * face.dim
-                a[block[i]], a[block[j]] = 1, -1
+                a[cols[i]], a[cols[j]] = 1, -1
                 forms.append((tuple(a), j - i))
                 divisor *= j - i
-        first += len(face.blocks[factor])
     return tuple(forms), divisor
 
 

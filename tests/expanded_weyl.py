@@ -3,12 +3,14 @@ from them: the reference the factored integer route is compared against.
 `top_component` reads phi_sigma off an expanded F_sigma.
 
 Weyl's formula is expanded as a `Polynomial` with rational coefficients,
-restricted to a face by substituting its embedding, and evaluated point by
+restricted to a face by substituting its embedding, which the block walk of
+`block_walk.py` finds without `ChamberFace.columns`, and evaluated point by
 point in `Fraction`s, without `weyl.dimension_forms`,
 `polynomials.progression_sum` or `dilate`: the Hilbert function's oracle
 hulls the dilated weights itself and sums over every point.
 """
 
+import block_walk
 from horoindex import AffineLattice, Polynomial, Q, hull, lattice_points
 
 
@@ -40,7 +42,7 @@ def top_component(poly):
 def embedding_matrix(face):
     """rank x dim matrix E with full_weight = E @ face_coordinates: column c
     is the full weight of the c-th unit vector of face coordinates."""
-    cols = [face.expand(tuple(int(i == c) for i in range(face.dim)))
+    cols = [block_walk.expand(face, tuple(int(i == c) for i in range(face.dim)))
             for c in range(face.dim)]
     return [tuple(col[r] for col in cols) for r in range(face.group.rank)]
 

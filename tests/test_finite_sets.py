@@ -33,6 +33,16 @@ def test_a_point_off_the_lattice_is_named_in_plain_numbers():
         fs((Q(1, 2), 0))
 
 
+def test_a_float_point_is_rejected_by_name():
+    with pytest.raises(DomainError, match=r"not the float 1\.0"):
+        fs((1.0,), (2,))
+
+
+def test_integral_points_are_kept_as_ints():
+    a = fs((Q(2), 1), (0, Q(3, 1)))
+    assert all(type(x) is int for p in a.points for x in p)
+
+
 @pytest.mark.parametrize("point, n", [((1, 2), 3), ((1, 2, 3), 2)])
 def test_points_of_the_wrong_dimension_are_rejected(point, n):
     with pytest.raises(DomainError):

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
+import block_walk
 from horoindex import (AffineLattice, ChamberFace, DomainError, GroupDescriptor, Q,
                        dilate, hull, integrate, newton_lift, pattern_positions,
                        restricted_weyl, volume)
@@ -178,7 +179,8 @@ def expanded(f, coords, free_values):
     """Per GL factor of size >= 2, (weight, pattern): the face point
     expanded to a weight, and the free entries completed by the pinned
     ones, each equal to the weight entry above it in its column."""
-    weight, free, values = f.expand(coords), free_pattern_entries(f), iter(free_values)
+    weight, free = block_walk.expand(f, coords), free_pattern_entries(f)
+    values = iter(free_values)
     out, pos = [], 0
     for factor, n in enumerate(f.group.gl_factors):
         block, pos = weight[pos:pos + n], pos + n
