@@ -20,9 +20,8 @@ from .polytopes import (Polytope, dilate, hull, lattice_points, minkowski_sum,
 from .rationals import Q, format_rat, is_integral
 from .spaces import (GENERAL_MODE, QUOTIENT_MODE, HorosphericalSpace,
                      IndexReport, SupportSet, completion_support,
-                     hilbert_function, index_report, index_via_integral,
-                     index_via_lift, moment_polytope, product_support,
-                     self_index_via_hilbert)
+                     hilbert_function, index_report, moment_polytope,
+                     product_support, self_index_via_hilbert)
 from .weyl import (ChamberFace, GroupDescriptor, cross_pair_count, dim_irrep,
                    restricted_weyl, space_dims, weyl_polynomial)
 
@@ -36,11 +35,10 @@ __all__ = [
     "ValidationError", "analogous", "completion_set", "completion_support",
     "cross_pair_count", "dilate", "dim_irrep", "fiber_vertices", "format_rat",
     "free_pattern_entries", "gt_lattice_count", "gt_polytope",
-    "hilbert_function", "hull", "index_report", "index_via_integral",
-    "index_via_lift", "integrate", "is_integral", "lattice_points",
-    "minkowski_sum", "mixed_integral", "mixed_volume", "moment_polytope",
-    "newton_lift", "pattern_dim", "pattern_positions", "polarize",
-    "product_support", "restricted_weyl", "saturation_check",
+    "hilbert_function", "hull", "index_report", "integrate", "is_integral",
+    "lattice_points", "minkowski_sum", "mixed_integral", "mixed_volume",
+    "moment_polytope", "newton_lift", "pattern_dim", "pattern_positions",
+    "polarize", "product_support", "restricted_weyl", "saturation_check",
     "self_index_via_hilbert", "space_dims", "sumset", "triangulation",
     "volume", "weyl_polynomial",
 ]

@@ -24,6 +24,14 @@ from .polytopes import Polytope, _simplices
 from .rationals import Q, ZERO
 
 
+def _coefficient(c):
+    """c as a Fraction; a float is rejected by name, as `exact_point` does."""
+    if isinstance(c, float):
+        raise DomainError(f"polynomial coefficients must be ints or Fractions, "
+                          f"not the float {c!r}")
+    return Q(c)
+
+
 @dataclass(frozen=True)
 class Polynomial:
     terms: dict
@@ -39,7 +47,7 @@ class Polynomial:
                                   f"nonnegative integers")
             if len(exp) != self.num_vars:
                 raise DomainError("exponent length does not match variable count")
-            c = Q(coef)
+            c = _coefficient(coef)
             if c != 0:
                 clean[exp] = c
         object.__setattr__(self, "terms", clean)
@@ -50,7 +58,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c, num_vars: int) -> "Polynomial":
-        return cls({(0,) * num_vars: Q(c)}, num_vars)
+        return cls({(0,) * num_vars: c}, num_vars)
 
     @classmethod
     def variable(cls, i: int, num_vars: int) -> "Polynomial":
@@ -60,9 +68,9 @@ class Polynomial:
     @classmethod
     def linear(cls, coeffs, const=0) -> "Polynomial":
         n = len(coeffs)
-        terms = {(0,) * n: Q(const)}
+        terms = {(0,) * n: const}
         for i, c in enumerate(coeffs):
-            terms[tuple(1 if j == i else 0 for j in range(n))] = Q(c)
+            terms[tuple(1 if j == i else 0 for j in range(n))] = c
         return cls(terms, n)
 
     def is_zero(self) -> bool:
@@ -91,7 +99,7 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
-            c = Q(other)
+            c = _coefficient(other)
             return Polynomial({e: c * v for e, v in self.terms.items()}, self.num_vars)
         if other.num_vars != self.num_vars:
             raise DomainError("variable count mismatch")

@@ -23,17 +23,18 @@ The index of a system of supports is computed by three independent routes:
   divisor, summed over each slice of lattice points from deg + 1 values.
 
 Exact agreement of the routes is the library's own strongest self-check and
-is enforced by `index_report`.  The polytope routes share one polarization
-pass over the moment polytopes moved along the center of G: each GL
-factor's block coordinates less the first vertex's last block coordinate,
-and its torus coordinates less the first vertex's.  Both measures are
-unchanged by such a move, as the top Weyl term reads only differences of
-block coordinates within one factor and GT(l + c 1) = GT(l) + c 1, so
-supports that differ by a central translation share their subset sums.  A
-bounded LRU memo keyed by (route names, space, summands) keeps the tuple of
-the routes' measures of each subset sum across queries, so each distinct
-subset, up to central translation, is measured once by every route;
-`memo_info` reads its hits.  A memo of the same bound keeps moment
+is enforced by `index_report`.  The polytope routes are one measure,
+`_routes(space)`: D -> (integral of the top Weyl term over D, volume of
+lift(D)), polarized in one pass over the moment polytopes moved along the
+center of G: each GL factor's block coordinates less the first vertex's
+last block coordinate, and its torus coordinates less the first vertex's.
+Both measures are unchanged by such a move, as the top Weyl term reads only
+differences of block coordinates within one factor and
+GT(l + c 1) = GT(l) + c 1, so supports that differ by a central translation
+share their subset sums.  A bounded LRU memo keyed by (space, summands)
+keeps the pair of measures of each subset sum across queries, so each
+distinct subset, up to central translation, is measured once by each
+route; `memo_info` reads its hits.  A memo of the same bound keeps moment
 polytopes, each a hull of its weights alone, a support's central translate
 among them; the Hilbert function keeps its own, of that polytope in
 face-lattice coordinates, which it dilates for every k without a hull.
@@ -49,6 +50,7 @@ from math import comb, factorial
 from .errors import DomainError, RouteDisagreementError, ValidationError
 from .gelfand_tsetlin import free_pattern_entries, newton_lift
 from .lattices import AffineLattice
+from .linalg import det
 from .polarization import polarize
 from .polynomials import integrate, product_values, progression_sum
 from .polytopes import Polytope, _lattice_body, _slices, dilate, hull, lattice_points, volume
@@ -72,7 +74,10 @@ class HorosphericalSpace:
             raise DomainError("Lambda(H) must be given in face coordinates")
         if any(self.lambda_h.offset[i] != 0 for i in range(self.face.dim)):
             raise DomainError("Lambda(H) is a lattice, not a coset: offset must be zero")
-        if self.mode == QUOTIENT_MODE and self.lambda_h.rank != self.face.dim:
+        if self.mode == QUOTIENT_MODE and (
+                self.lambda_h.rank != self.face.dim
+                or (self.lambda_h.basis != AffineLattice.standard(self.face.dim).basis
+                    and abs(det(self.lambda_h.basis)) != 1)):
             raise DomainError("quotient mode requires Lambda(H) = the full face lattice")
         # immutable, so hashed once: every memo key holds the space
         object.__setattr__(self, "_hash", hash((self.face, self.lambda_h, self.mode)))
@@ -178,7 +183,7 @@ def _require_count_integer(value, what: str):
 
 
 _MEMO_BOUND = 1024  # entries per memo; bounded so that memory stays flat over any run
-_memo = OrderedDict()  # (route names, space, summands sorted by hash) -> measures
+_memo = OrderedDict()  # (space, summands sorted by hash) -> (integral, lift volume)
 _memo_counts = [0, 0]  # lookups, misses
 _moments = OrderedDict()  # support weights -> their hull
 _bodies = OrderedDict()  # support weights -> their hull in face-lattice coordinates
@@ -187,7 +192,7 @@ _MISSING = object()
 
 def memo_info():
     """(hits, misses, bound, size) of the memo of subset-sum measures, counted
-    per subset: one lookup gives every route's measure of one subset sum."""
+    per subset: one lookup gives both routes' measures of one subset sum."""
     lookups, misses = _memo_counts
     return lookups - misses, misses, _MEMO_BOUND, len(_memo)
 
@@ -227,17 +232,6 @@ def _centered_polytope(support: SupportSet) -> Polytope:
     return _lru(_moments, moved, lambda: hull(moved))
 
 
-@lru_cache(maxsize=_MEMO_BOUND)
-def _integral_route(space: HorosphericalSpace):
-    """D -> integral over D of the top Weyl term, the linear parts of the
-    face's `dimension_forms` over their divisor, built once per space."""
-    forms, divisor = dimension_forms(space.face)
-    phi = tuple(a for a, _ in forms), divisor
-    lattice = space.measure_lattice()
-    return "mixed-integral route", (
-        lambda body: integrate(phi, body, lattice) if body.dim >= lattice.rank else 0)
-
-
 def _lift_lattice(space: HorosphericalSpace) -> AffineLattice:
     """Normalizing lattice for lifted polytopes: Lambda(H) (or the face
     lattice) extended by the free Gelfand-Tsetlin coordinates."""
@@ -252,71 +246,32 @@ def _lift_lattice(space: HorosphericalSpace) -> AffineLattice:
 
 
 @lru_cache(maxsize=_MEMO_BOUND)
-def _lift_route(space: HorosphericalSpace):
-    """D -> volume of the Gelfand-Tsetlin lift of D, built once per space,
-    so the rank check of its lattice runs once."""
+def _routes(space: HorosphericalSpace):
+    """D -> (integral over D of the top Weyl term, volume of the
+    Gelfand-Tsetlin lift of D), built once per space, so the rank check of
+    the lift lattice runs once.  The top Weyl term is the linear parts of
+    the face's `dimension_forms` over their divisor.  The lift is
+    Minkowski-linear on the dominant cone, as GT(l + m) = GT(l) + GT(m), so
+    polarizing the lift's volume gives the mixed volume of the lifts, and
+    no Minkowski sum is formed in the lifted space."""
+    forms, divisor = dimension_forms(space.face)
+    phi = tuple(a for a, _ in forms), divisor
+    base = space.measure_lattice()
     lattice = _lift_lattice(space)
     if lattice.rank != space.num_supports:
         raise DomainError(f"lift direction space has rank {lattice.rank}, "
                           f"but {space.num_supports} supports are needed")
-    base_rank = space.measure_lattice().rank
 
     def measure(body):
-        # dim lift(D) <= dim D + the free entries, so a lower-dimensional D
-        # has a lower-dimensional lift
-        if body.dim < base_rank:
-            return 0
+        # dim lift(D) <= dim D + the free entries, so a D below the measure
+        # lattice's rank measures 0 on both routes
+        if body.dim < base.rank:
+            return 0, 0
         lift = newton_lift(space.face, body)
-        return volume(lift, lattice) if lift.dim >= lattice.rank else 0
+        return (integrate(phi, body, base),
+                volume(lift, lattice) if lift.dim >= lattice.rank else 0)
 
-    return "mixed-volume-of-lifts route", measure
-
-
-def _polarized_indices(space: HorosphericalSpace, supports, *routes):
-    """Per route, n! times the polarization of its measure over the moment
-    polytopes, n the space's dimension: a count of solutions, so a
-    nonnegative integer.  The routes share one polarization pass over the
-    central translates of the moment polytopes, which every measure takes
-    to the same values, and each subset sum's tuple of measures is looked
-    up in the memo first."""
-    n = space.num_supports
-    if len(supports) != n:
-        kind = "dim(G/P')" if space.mode == QUOTIENT_MODE else "dim(G/H)"
-        raise DomainError(f"need exactly {n} supports (= {kind}), got {len(supports)}")
-    if any(s.space != space for s in supports):
-        raise DomainError("support belongs to a different space")
-    routes = [route(space) for route in routes]
-    if n == 0:
-        return (Q(1),) * len(routes)  # the index on a point
-    names = tuple(name for name, _ in routes)
-
-    def measures(summands, total):
-        def compute():
-            _memo_counts[1] += 1
-            return tuple(measure(total()) for _, measure in routes)
-
-        # a polytope's hash is stored, so it orders summands cheaply; equal
-        # hashes of unequal polytopes only cost a second entry
-        _memo_counts[0] += 1
-        return _lru(_memo, (names, space, tuple(sorted(summands, key=hash))), compute)
-
-    values = polarize(measures, [_centered_polytope(s) for s in supports])
-    return tuple(_require_count_integer(factorial(n) * value, name)
-                 for (name, _), value in zip(routes, values))
-
-
-def index_via_integral(space: HorosphericalSpace, supports):
-    """n! times the mixed integral of the top Weyl term over the moment polytopes."""
-    return _polarized_indices(space, supports, _integral_route)[0]
-
-
-def index_via_lift(space: HorosphericalSpace, supports):
-    """n! times the mixed volume of the Gelfand-Tsetlin lifts of the moment
-    polytopes, in (face coords x free pattern coords).  The lift is
-    Minkowski-linear on the dominant cone, as GT(l + m) = GT(l) + GT(m), so
-    this is the polarization of D -> vol(lift(D)) over the moment polytopes,
-    and no Minkowski sum is formed in the lifted space."""
-    return _polarized_indices(space, supports, _lift_route)[0]
+    return measure
 
 
 def hilbert_function(space: HorosphericalSpace, support: SupportSet, k: int) -> int:
@@ -380,8 +335,33 @@ class IndexReport:
 
 
 def index_report(space: HorosphericalSpace, supports) -> IndexReport:
-    """Compute every applicable route and insist on exact agreement."""
-    via_integral, via_lift = _polarized_indices(space, supports, _integral_route, _lift_route)
+    """Compute every applicable route and insist on exact agreement.  The
+    polytope routes are n! times the polarizations of the two measures of
+    `_routes(space)` over the moment polytopes, n the space's dimension:
+    counts of solutions, so nonnegative integers.  Each subset sum's pair of
+    measures is looked up in the memo first."""
+    n = space.num_supports
+    if len(supports) != n:
+        kind = "dim(G/P')" if space.mode == QUOTIENT_MODE else "dim(G/H)"
+        raise DomainError(f"need exactly {n} supports (= {kind}), got {len(supports)}")
+    if any(s.space != space for s in supports):
+        raise DomainError("support belongs to a different space")
+    measure = _routes(space)
+
+    def measures(summands, total):
+        def compute():
+            _memo_counts[1] += 1
+            return measure(total())
+
+        # a polytope's hash is stored, so it orders summands cheaply; equal
+        # hashes of unequal polytopes only cost a second entry
+        _memo_counts[0] += 1
+        return _lru(_memo, (space, tuple(sorted(summands, key=hash))), compute)
+
+    values = (polarize(measures, [_centered_polytope(s) for s in supports]) if n
+              else (Q(1), Q(1)))  # the index on a point
+    via_integral = _require_count_integer(factorial(n) * values[0], "mixed-integral route")
+    via_lift = _require_count_integer(factorial(n) * values[1], "mixed-volume-of-lifts route")
     if via_integral != via_lift:
         raise RouteDisagreementError(
             f"mixed integral gave {via_integral} but mixed volume of lifts gave {via_lift}")

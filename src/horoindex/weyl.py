@@ -44,7 +44,11 @@ class GroupDescriptor:
     torus_rank: int = 0
 
     def __post_init__(self):
-        factors = tuple(int(n) for n in self.gl_factors)
+        factors = tuple(self.gl_factors)
+        for n in factors + (self.torus_rank,):
+            if type(n) is not int:
+                raise DomainError(f"GL factor sizes and the torus rank must be ints, "
+                                  f"not {n!r}")
         object.__setattr__(self, "gl_factors", factors)
         if any(n < 1 for n in factors) or self.torus_rank < 0:
             raise DomainError("GL factors need n >= 1 and torus rank >= 0")
@@ -103,7 +107,10 @@ class ChamberFace:
     blocks: tuple  # one tuple of block sizes per GL factor
 
     def __post_init__(self):
-        blocks = tuple(tuple(int(b) for b in bs) for bs in self.blocks)
+        blocks = tuple(tuple(bs) for bs in self.blocks)
+        for b in itertools.chain.from_iterable(blocks):
+            if type(b) is not int:
+                raise DomainError(f"block sizes must be ints, not {b!r}")
         object.__setattr__(self, "blocks", blocks)
         if len(blocks) != len(self.group.gl_factors):
             raise DomainError("one block partition per GL factor required")

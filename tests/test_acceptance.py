@@ -12,10 +12,10 @@ from horoindex import (GENERAL_MODE, AffineLattice, BodySystem, ChamberFace,
                        FiniteSet, GroupDescriptor, HorosphericalSpace,
                        Polynomial, Q, SupportSet, completion_support,
                        dim_irrep, gt_lattice_count, gt_polytope, hull,
-                       index_report, index_via_integral, index_via_lift,
-                       integrate, minkowski_sum, mixed_integral, mixed_volume,
-                       pattern_dim, product_support, restricted_weyl,
-                       saturation_check, self_index_via_hilbert, volume)
+                       index_report, integrate, minkowski_sum, mixed_integral,
+                       mixed_volume, pattern_dim, product_support,
+                       restricted_weyl, saturation_check,
+                       self_index_via_hilbert, volume)
 
 
 def gl_face(n, blocks=None):

@@ -169,6 +169,17 @@ def test_the_support_count_is_checked_before_any_route_is_built(tmp_path, capsys
                                    "detail": f"need exactly {n} supports (= dim(G/P')), got 0"}
 
 
+def test_quotient_mode_with_a_sublattice_exits_3(tmp_path, capsys):
+    problem = {"group": {"gl": [2]},
+               "lambda_H": {"offset": [0, 0], "basis": [[2, 0], [0, 1]]},
+               "supports": [[[0, 0], [1, 0], [1, 1]]] * 3}
+    code, out, err = run_cli(["index", write(tmp_path, "problem.json", problem)], capsys)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "validation",
+        "detail": "quotient mode requires Lambda(H) = the full face lattice"}
+
+
 @pytest.mark.parametrize("problem, golden", [("gl3.json", "gl3-index.out"),
                                              ("gl3_wall.json", "gl3-wall-index.out")])
 def test_the_index_path_expands_no_weyl_polynomial(capsys, monkeypatch, problem, golden):
@@ -182,7 +193,7 @@ def test_the_index_path_expands_no_weyl_polynomial(capsys, monkeypatch, problem,
         if getattr(module, "restricted_weyl", None) is original:
             monkeypatch.setattr(module, "restricted_weyl", expand)
     spaces.memo_clear()
-    spaces._integral_route.cache_clear()  # so the route is built again
+    spaces._routes.cache_clear()  # so the routes are built again
     code, out, _ = run_cli(["index", str(GOLDEN / problem)], capsys)
     assert (code, out) == (0, (GOLDEN / golden).read_text())
 

@@ -2,13 +2,15 @@
 
 A stdlib `ast` scan in place of a linter: an import with no use is dead code
 left behind by a deletion.  The package `__init__` is exempt, as its
-imports are the public re-exports.
+imports are the public re-exports; those must be exactly `__all__`.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import horoindex
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "horoindex"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -60,3 +62,12 @@ def test_the_scan_finds_an_unused_import():
     used = used_names(tree)
     assert [name for name, _ in imported_names(tree) if name not in used] == ["dot"]
     assert "Polytope" in used
+
+
+def test_all_lists_every_public_reexport():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    reexports = {name for name, _ in imported_names(tree)}
+    assert set(horoindex.__all__) == reexports
+    assert len(horoindex.__all__) == len(reexports)  # no name listed twice
+    for name in horoindex.__all__:
+        assert getattr(horoindex, name) is not None

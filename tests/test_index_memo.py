@@ -1,7 +1,8 @@
 """Property tests of the memo of subset-sum measures behind `index_report`.
 
-The memo keeps every route's measure of a Minkowski subset sum of moment
-polytopes across queries, one entry per subset keyed by (route names, space,
+The memo keeps both measures of `spaces._routes(space)`, the integral of
+the top Weyl term and the volume of the lift, of a Minkowski subset sum of
+moment polytopes across queries, one entry per subset keyed by (space,
 summands).  The summands are the moment polytopes moved along the center of
 G, so supports that are central translates of each other share entries.  A
 warm memo must give the reports a cold one gives; each route must still

@@ -1,8 +1,9 @@
 """Property tests: the lift route against the Minkowski sums of lifts.
 
-`index_via_lift` polarizes D -> vol(lift(D)) over the moment polytopes,
-which is right only because the Gelfand-Tsetlin lift is Minkowski-linear on
-the dominant cone.  These tests check that linearity directly, and compare
+`index_report`'s lift route polarizes D -> vol(lift(D)), the second
+measure of `spaces._routes(space)`, over the moment polytopes, which is
+right only because the Gelfand-Tsetlin lift is Minkowski-linear on the
+dominant cone.  These tests check that linearity directly, and compare
 the route with the algorithm it replaced: the mixed volume of the lifts
 themselves, with every subset sum formed in the lifted space.
 """
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from horoindex import (GENERAL_MODE, AffineLattice, BodySystem, ChamberFace,
                        GroupDescriptor, HorosphericalSpace, SupportSet, hull,
-                       index_via_lift, minkowski_sum, mixed_volume, moment_polytope,
+                       index_report, minkowski_sum, mixed_volume, moment_polytope,
                        newton_lift)
 from horoindex.spaces import _lift_lattice
 
@@ -121,4 +122,4 @@ def test_lift_is_minkowski_linear(f, data):
 @given(data=st.data())
 def test_lift_route_is_the_mixed_volume_of_the_lifts(space, data):
     system = [data.draw(supports(space)) for _ in range(space.num_supports)]
-    assert index_via_lift(space, system) == lifted_mixed_volume_index(space, system)
+    assert index_report(space, system).lift_route == lifted_mixed_volume_index(space, system)

@@ -148,6 +148,26 @@ def test_power_rejects_a_bad_exponent(n):
         Polynomial.variable(0, 1) ** n
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Polynomial.constant(1.5, 1),
+    lambda: Polynomial.linear((1.0, 2)),
+    lambda: Polynomial.linear((1, 2), 0.5),
+    lambda: Polynomial.constant(1, 1) * 0.25,
+    lambda: 0.25 * Polynomial.constant(1, 1),
+    lambda: Polynomial.constant(1, 1) + 0.5,
+    lambda: Polynomial({(1,): 0.5}, 1),
+])
+def test_a_float_coefficient_is_rejected_by_name(build):
+    with pytest.raises(DomainError, match=r"coefficients must be ints or Fractions, "
+                                          r"not the float \d\.\d+"):
+        build()
+
+
+def test_int_and_fraction_coefficients_are_kept():
+    assert Polynomial.linear((1, Q(1, 2)), 3).terms == {(0, 0): 3, (1, 0): 1, (0, 1): Q(1, 2)}
+    assert (Polynomial.constant(Q(1, 2), 1) * 3).terms == {(0,): Q(3, 2)}
+
+
 ROUTE_FACES = [ChamberFace(GroupDescriptor((3,)), (blocks,))
                for blocks in [(1, 1, 1), (1, 2), (2, 1), (3,)]]
 ROUTE_FACES += [ChamberFace(GroupDescriptor((2,), 1), (blocks,)) for blocks in [(1, 1), (2,)]]

@@ -6,8 +6,9 @@ import pytest
 from horoindex import (GENERAL_MODE, QUOTIENT_MODE, AffineLattice, ChamberFace,
                        DomainError, GroupDescriptor, HorosphericalSpace, Q,
                        SupportSet, completion_support, hilbert_function,
-                       index_report, index_via_integral, moment_polytope,
-                       product_support, self_index_via_hilbert)
+                       index_report, moment_polytope, product_support,
+                       self_index_via_hilbert)
+from horoindex import spaces
 
 
 def gl(n, blocks=None, torus=0):
@@ -224,7 +225,7 @@ def test_support_weights_are_ints_and_floats_are_rejected():
 def test_support_count_enforced():
     space = bezout_space()
     with pytest.raises(DomainError):
-        index_via_integral(space, [ray_support(space, 1)] * 2)
+        index_report(space, [ray_support(space, 1)] * 2)
 
 
 def test_hilbert_requires_quotient_mode():
@@ -257,6 +258,23 @@ def test_hilbert_function_rejects_a_k_that_is_not_an_int(k):
 def test_quotient_mode_requires_full_lattice():
     with pytest.raises(DomainError):
         HorosphericalSpace(gl(2), AffineLattice((0, 0), ((2, 0),)), QUOTIENT_MODE)
+
+
+@pytest.mark.parametrize("basis", [((2, 0), (0, 1)), ((1, 1), (1, -1))])
+def test_quotient_mode_rejects_a_sublattice_of_full_rank(basis):
+    with pytest.raises(DomainError, match="requires Lambda\\(H\\) = the full face lattice"):
+        HorosphericalSpace(gl(2), AffineLattice((0, 0), basis), QUOTIENT_MODE)
+
+
+def test_quotient_mode_takes_any_unimodular_basis(monkeypatch):
+    lam = AffineLattice((0, 0), ((1, 1), (0, 1)))
+    assert HorosphericalSpace(gl(2), lam, QUOTIENT_MODE).num_supports == 3
+
+    def det(rows):
+        raise AssertionError("the standard basis took a determinant")
+
+    monkeypatch.setattr(spaces, "det", det)
+    HorosphericalSpace(gl(2), AffineLattice((0, 0), ((1, 0), (0, 1))), QUOTIENT_MODE)
 
 
 def test_index_2_sublattice_route_agreement():

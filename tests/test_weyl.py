@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from math import factorial
 
 import pytest
@@ -93,6 +94,19 @@ def test_face_validation():
         ChamberFace(g, ((1, 1),))  # sizes do not sum to 3
     face = ChamberFace(g, ((1, 2),))
     assert face.dim == 2
+
+
+@pytest.mark.parametrize("gl, torus, shown", [((3.9,), 0, "3.9"), ((2,), 1.5, "1.5"),
+                                              ((Q(2),), 0, "Fraction(2, 1)")])
+def test_group_sizes_must_be_ints(gl, torus, shown):
+    with pytest.raises(DomainError, match=re.escape(
+            f"GL factor sizes and the torus rank must be ints, not {shown}")):
+        GroupDescriptor(gl, torus)
+
+
+def test_block_sizes_must_be_ints():
+    with pytest.raises(DomainError, match=r"block sizes must be ints, not 2\.9"):
+        ChamberFace(GroupDescriptor((3,)), ((2.9, 1.2),))
 
 
 def test_full_chamber():
